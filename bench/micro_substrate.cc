@@ -1,19 +1,25 @@
 /**
  * @file
- * Micro-benchmarks of the substrate itself (google-benchmark):
- * cache-array access, UMON updates, miss-curve operations, the
- * lookahead allocators, the placers, and descriptor operations.
+ * Micro-benchmarks of the substrate itself (google-benchmark): the
+ * event kernel, cache-array access, UMON updates, miss-curve
+ * operations, the lookahead allocators, the placers, and descriptor
+ * operations.
  * These bound the simulator's own costs and double as ablation
  * harnesses for data-structure choices.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "src/cache/cache_array.hh"
 #include "src/core/lookahead.hh"
 #include "src/core/policies.hh"
 #include "src/dnuca/umon.hh"
 #include "src/dnuca/vtb.hh"
+#include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
 
 namespace jumanji {
@@ -39,6 +45,108 @@ BENCHMARK(BM_CacheArrayAccess)
     ->Arg(static_cast<int>(ReplKind::LRU))
     ->Arg(static_cast<int>(ReplKind::SRRIP))
     ->Arg(static_cast<int>(ReplKind::DRRIP));
+
+/** An agent that replays a table of compute gaps, counting resumes. */
+class GapAgent : public Agent
+{
+  public:
+    GapAgent(const std::vector<Tick> *gaps, std::size_t start,
+             std::uint64_t *events)
+        : gaps_(gaps), next_(start), events_(events)
+    {
+    }
+
+    Tick
+    resume(Tick now) override
+    {
+        ++*events_;
+        Tick gap = (*gaps_)[next_];
+        next_ = (next_ + 1) % gaps_->size();
+        return now + gap;
+    }
+
+  private:
+    const std::vector<Tick> *gaps_;
+    std::size_t next_;
+    std::uint64_t *events_;
+};
+
+void
+BM_EventQueueRunUntil(benchmark::State &state)
+{
+    // fig13's shape: 20 cores plus the epoch timer, each resumed
+    // after a gap of tens to hundreds of ticks, with frequent ties.
+    const int agents = static_cast<int>(state.range(0));
+    Rng rng(5);
+    std::vector<Tick> gaps(4096);
+    for (Tick &g : gaps) g = 1 + rng.below(300);
+    std::uint64_t events = 0;
+    std::vector<std::unique_ptr<GapAgent>> pool;
+    EventQueue queue;
+    for (int a = 0; a < agents; a++) {
+        pool.push_back(std::make_unique<GapAgent>(
+            &gaps, static_cast<std::size_t>(a) * 97, &events));
+        queue.schedule(pool.back().get(), static_cast<Tick>(a % 3));
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(queue.runUntil(queue.now() + 1000));
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueRunUntil)->Arg(21);
+
+void
+BM_CacheArrayBank(benchmark::State &state)
+{
+    // One LLC bank of the fig13 config: 128 sets x 32 ways, DRRIP,
+    // 16 owners (one VC each) over 4 VMs, accesses interleaved the
+    // way cores interleave at a bank.
+    CacheArray array(128, 32, ReplKind::DRRIP, 1);
+    std::vector<AccessOwner> owners(16);
+    for (int i = 0; i < 16; i++) {
+        owners[i].app = i;
+        owners[i].vc = i;
+        owners[i].vm = i / 4;
+        owners[i].latencyCritical = i % 4 == 0;
+    }
+    Rng rng(2);
+    const std::size_t n = 1 << 16;
+    std::vector<std::uint8_t> who(n);
+    std::vector<LineAddr> lines(n);
+    for (std::size_t i = 0; i < n; i++) {
+        who[i] = static_cast<std::uint8_t>(rng.below(16));
+        lines[i] = who[i] * 100000ull + rng.below(1024);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(array.access(lines[i], owners[who[i]]));
+        i = (i + 1) & (n - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheArrayBank);
+
+void
+BM_UmonFig13(benchmark::State &state)
+{
+    // The fig13 UMON: 256 sets x 64 ways sampling 1 line in 5.
+    UmonParams params;
+    params.sets = 256;
+    params.ways = 64;
+    params.modelledLines = 256 * 64 * 5;
+    Umon umon(params);
+    Rng rng(3);
+    const std::size_t n = 1 << 16;
+    std::vector<LineAddr> lines(n);
+    for (LineAddr &l : lines) l = rng.below(120000);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        umon.access(lines[i]);
+        i = (i + 1) & (n - 1);
+    }
+    benchmark::DoNotOptimize(umon.accesses());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UmonFig13);
 
 void
 BM_UmonAccess(benchmark::State &state)

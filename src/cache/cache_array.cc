@@ -1,6 +1,7 @@
 #include "src/cache/cache_array.hh"
 
 #include <bit>
+#include <limits>
 
 #include "src/sim/check.hh"
 #include "src/sim/logging.hh"
@@ -21,6 +22,17 @@ mixBits(std::uint64_t x)
     return x;
 }
 
+/** Owners compare by every field: two VCs of one app are two owners. */
+bool
+sameOwner(const AccessOwner &a, const AccessOwner &b)
+{
+    return a.app == b.app && a.vc == b.vc && a.vm == b.vm &&
+           a.latencyCritical == b.latencyCritical;
+}
+
+/** App ids below this get an O(1) intern hint; others scan. */
+constexpr std::size_t kMaxHintedApps = 4096;
+
 } // namespace
 
 CacheArray::CacheArray(std::uint32_t sets, std::uint32_t ways,
@@ -29,7 +41,7 @@ CacheArray::CacheArray(std::uint32_t sets, std::uint32_t ways,
       ways_(ways),
       tags_(static_cast<std::size_t>(sets) * ways, 0),
       validBits_(sets, 0),
-      owners_(static_cast<std::size_t>(sets) * ways),
+      lineOwner_(static_cast<std::size_t>(sets) * ways, 0),
       repl_(ReplPolicy::create(repl, sets, ways, seed)),
       fullMask_(WayMask::all(ways))
 {
@@ -45,36 +57,72 @@ CacheArray::setIndex(LineAddr line) const
     return static_cast<std::uint32_t>(mixBits(line) & (sets_ - 1));
 }
 
+CacheArray::OwnerIndex
+CacheArray::intern(const AccessOwner &owner)
+{
+    // Each app almost always fills as one owner, so the app's last
+    // interned slot answers nearly every lookup without a scan.
+    const auto hintSlot = static_cast<std::size_t>(
+        static_cast<std::int64_t>(owner.app) + 1);
+    const bool hinted = hintSlot < kMaxHintedApps;
+    if (hinted && hintSlot < appHint_.size()) {
+        const OwnerIndex h = appHint_[hintSlot];
+        if (h < owners_.size() && sameOwner(owners_[h].owner, owner))
+            return h;
+    }
+    std::size_t idx = 0;
+    while (idx < owners_.size() && !sameOwner(owners_[idx].owner, owner))
+        idx++;
+    if (idx == owners_.size()) {
+        if (idx > std::numeric_limits<OwnerIndex>::max())
+            fatal("CacheArray: more than 65536 distinct line owners");
+        std::size_t pair = 0;
+        while (pair < vmApps_.size() && (vmApps_[pair].vm != owner.vm ||
+                                         vmApps_[pair].app != owner.app))
+            pair++;
+        if (pair == vmApps_.size())
+            vmApps_.push_back(VmAppPair{owner.vm, owner.app});
+        owners_.push_back(
+            OwnerSlot{owner, 0, static_cast<std::uint32_t>(pair)});
+    }
+    if (hinted) {
+        if (hintSlot >= appHint_.size())
+            appHint_.resize(hintSlot + 1,
+                            std::numeric_limits<OwnerIndex>::max());
+        appHint_[hintSlot] = static_cast<OwnerIndex>(idx);
+    }
+    return static_cast<OwnerIndex>(idx);
+}
+
 void
-CacheArray::accountFill(const AccessOwner &owner)
+CacheArray::accountFill(OwnerIndex idx)
 {
     JUMANJI_ASSERT(validCount_ < numLines(),
                    "fill would exceed array capacity");
     validCount_++;
-    appOccupancy_[owner.app]++;
-    vcOccupancy_[owner.vc]++;
-    std::uint64_t &perVm = vmApps_[owner.vm][owner.app];
-    if (perVm == 0) vmAppTotal_++;
-    perVm++;
+    OwnerSlot &slot = owners_[idx];
+    if (slot.lines++ != 0) return;
+    // The owner went from 0 to 1 line: its (vm, app) pair may have
+    // just become live.
+    VmAppPair &pair = vmApps_[slot.pair];
+    if (pair.liveOwners++ == 0) {
+        vmLiveApps_[pair.vm]++;
+        vmAppTotal_++;
+    }
 }
 
 void
-CacheArray::accountDrop(const AccessOwner &owner)
+CacheArray::accountDrop(OwnerIndex idx)
 {
     JUMANJI_ASSERT(validCount_ > 0, "drop from an empty array");
-    JUMANJI_ASSERT(appOccupancy_[owner.app] > 0,
-                   "app occupancy underflow");
-    JUMANJI_ASSERT(vcOccupancy_[owner.vc] > 0,
-                   "VC occupancy underflow");
+    OwnerSlot &slot = owners_[idx];
+    JUMANJI_ASSERT(slot.lines > 0, "owner occupancy underflow");
     validCount_--;
-    appOccupancy_[owner.app]--;
-    vcOccupancy_[owner.vc]--;
-    if (auto *apps = vmApps_.lookup(owner.vm)) {
-        auto *count = apps->lookup(owner.app);
-        if (count != nullptr && --*count == 0) {
-            apps->erase(owner.app);
-            vmAppTotal_--;
-        }
+    if (--slot.lines != 0) return;
+    VmAppPair &pair = vmApps_[slot.pair];
+    if (--pair.liveOwners == 0) {
+        vmLiveApps_[pair.vm]--;
+        vmAppTotal_--;
     }
 }
 
@@ -83,43 +131,47 @@ CacheArray::checkOccupancyInvariant() const
 {
 #if JUMANJI_CHECKS_ACTIVE
     std::uint64_t valid = 0;
-    SmallIdMap<AppId, std::uint64_t> byApp;
-    SmallIdMap<VcId, std::uint64_t> byVc;
+    std::vector<std::uint64_t> byOwner(owners_.size(), 0);
     for (std::uint32_t s = 0; s < sets_; s++) {
         for (std::uint64_t bits = validBits_[s]; bits != 0;
              bits &= bits - 1) {
             auto w = static_cast<std::uint32_t>(std::countr_zero(bits));
-            const AccessOwner &o =
-                owners_[static_cast<std::size_t>(s) * ways_ + w];
+            const OwnerIndex idx =
+                lineOwner_[static_cast<std::size_t>(s) * ways_ + w];
+            JUMANJI_INVARIANT(idx < owners_.size(),
+                              "line owner index outside the owner table");
             valid++;
-            byApp[o.app]++;
-            byVc[o.vc]++;
+            byOwner[idx]++;
         }
     }
     JUMANJI_INVARIANT(valid == validCount_,
                       "validCount_ disagrees with the line array");
-    for (const auto &[app, count] : byApp) {
-        const std::uint64_t *have = appOccupancy_.lookup(app);
-        JUMANJI_INVARIANT(have != nullptr && *have == count,
-                          "per-app occupancy accounting drifted");
+    std::vector<std::uint32_t> pairLive(vmApps_.size(), 0);
+    std::uint64_t ownerSum = 0;
+    for (std::size_t i = 0; i < owners_.size(); i++) {
+        JUMANJI_INVARIANT(owners_[i].lines == byOwner[i],
+                          "per-owner occupancy accounting drifted");
+        ownerSum += owners_[i].lines;
+        if (owners_[i].lines > 0) pairLive[owners_[i].pair]++;
     }
-    for (const auto &[vc, count] : byVc) {
-        const std::uint64_t *have = vcOccupancy_.lookup(vc);
-        JUMANJI_INVARIANT(have != nullptr && *have == count,
-                          "per-VC occupancy accounting drifted");
-    }
-    std::uint64_t appSum = 0, vcSum = 0;
-    for (const auto &[app, count] : appOccupancy_) appSum += count;
-    for (const auto &[vc, count] : vcOccupancy_) vcSum += count;
-    JUMANJI_INVARIANT(appSum == validCount_ && vcSum == validCount_,
+    JUMANJI_INVARIANT(ownerSum == validCount_,
                       "occupancy sums disagree with validCount_");
-    std::size_t vmAppPairs = 0;
-    for (const auto &[vm, apps] : vmApps_) {
-        (void)vm;
-        vmAppPairs += apps.size();
+    SmallIdMap<VmId, std::uint32_t> liveApps;
+    std::uint32_t livePairs = 0;
+    for (std::size_t p = 0; p < vmApps_.size(); p++) {
+        JUMANJI_INVARIANT(vmApps_[p].liveOwners == pairLive[p],
+                          "(vm, app) live-owner count drifted");
+        if (pairLive[p] == 0) continue;
+        liveApps[vmApps_[p].vm]++;
+        livePairs++;
     }
-    JUMANJI_INVARIANT(vmAppPairs == vmAppTotal_,
-                      "vulnerability tally disagrees with vmApps_");
+    JUMANJI_INVARIANT(livePairs == vmAppTotal_,
+                      "vulnerability tally disagrees with the lines");
+    for (const auto &[vm, count] : vmLiveApps_) {
+        const std::uint32_t *have = liveApps.lookup(vm);
+        JUMANJI_INVARIANT(count == (have == nullptr ? 0 : *have),
+                          "per-VM distinct-app tally drifted");
+    }
 #endif
 }
 
@@ -164,17 +216,17 @@ CacheArray::access(LineAddr line, const AccessOwner &owner)
     JUMANJI_ASSERT(mask.contains(victim),
                    "replacement chose a victim outside the way mask");
 
-    AccessOwner &vOwner = owners_[base + victim];
+    OwnerIndex &vOwner = lineOwner_[base + victim];
     if (validBits_[set] & (1ull << victim)) {
         result.evicted = true;
-        result.evictedOwner = vOwner;
+        result.evictedOwner = owners_[vOwner].owner;
         result.evictedLine = tagRow[victim];
         accountDrop(vOwner);
     }
     tags_[base + victim] = line;
     validBits_[set] |= 1ull << victim;
-    vOwner = owner;
-    accountFill(owner);
+    vOwner = intern(owner);
+    accountFill(vOwner);
     repl_->onFill(set, victim);
     return result;
 }
@@ -204,12 +256,12 @@ CacheArray::insert(LineAddr line, const AccessOwner &owner)
     JUMANJI_ASSERT(victim < ways_ && mask.contains(victim),
                    "migration fill outside the way mask");
 
-    AccessOwner &vOwner = owners_[base + victim];
+    OwnerIndex &vOwner = lineOwner_[base + victim];
     if (validBits_[set] & (1ull << victim)) accountDrop(vOwner);
     tags_[base + victim] = line;
     validBits_[set] |= 1ull << victim;
-    vOwner = owner;
-    accountFill(owner);
+    vOwner = intern(owner);
+    accountFill(vOwner);
     repl_->onFill(set, victim);
     return true;
 }
@@ -263,15 +315,19 @@ CacheArray::invalidateAll()
 std::uint64_t
 CacheArray::occupancyOfApp(AppId app) const
 {
-    const std::uint64_t *p = appOccupancy_.lookup(app);
-    return p == nullptr ? 0 : *p;
+    std::uint64_t lines = 0;
+    for (const OwnerSlot &slot : owners_)
+        if (slot.owner.app == app) lines += slot.lines;
+    return lines;
 }
 
 std::uint64_t
 CacheArray::occupancyOfVc(VcId vc) const
 {
-    const std::uint64_t *p = vcOccupancy_.lookup(vc);
-    return p == nullptr ? 0 : *p;
+    std::uint64_t lines = 0;
+    for (const OwnerSlot &slot : owners_)
+        if (slot.owner.vc == vc) lines += slot.lines;
+    return lines;
 }
 
 std::uint32_t
@@ -279,10 +335,9 @@ CacheArray::appsFromOtherVms(VmId exceptVm) const
 {
     // vmAppTotal_ tracks the distinct (vm, app) pairs with >0 lines,
     // so the per-access vulnerability probe is a subtraction instead
-    // of a walk over every VM's app set.
-    std::size_t own = 0;
-    if (const auto *apps = vmApps_.lookup(exceptVm)) own = apps->size();
-    return static_cast<std::uint32_t>(vmAppTotal_ - own);
+    // of a walk over the owner table.
+    const std::uint32_t *own = vmLiveApps_.lookup(exceptVm);
+    return vmAppTotal_ - (own == nullptr ? 0 : *own);
 }
 
 } // namespace jumanji

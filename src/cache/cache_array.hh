@@ -130,9 +130,9 @@ class CacheArray
                  bits &= bits - 1) {
                 auto w = static_cast<std::uint32_t>(
                     std::countr_zero(bits));
-                const AccessOwner &o = owners_[base + w];
-                if (pred(tags_[base + w], o)) {
-                    accountDrop(o);
+                const OwnerIndex idx = lineOwner_[base + w];
+                if (pred(tags_[base + w], owners_[idx].owner)) {
+                    accountDrop(idx);
                     validBits_[s] &= ~(1ull << w);
                     repl_->onInvalidate(s, w);
                     dropped++;
@@ -165,16 +165,40 @@ class CacheArray
     ReplPolicy &replacement() { return *repl_; }
 
   private:
+    /** Index into owners_; one per line instead of a 16 B owner. */
+    using OwnerIndex = std::uint16_t;
+
+    /** An interned owner and how many valid lines it holds here. */
+    struct OwnerSlot
+    {
+        AccessOwner owner;
+        std::uint64_t lines = 0;
+        /** Index into vmApps_ of this owner's (vm, app) pair. */
+        std::uint32_t pair = 0;
+    };
+
+    /** Distinct-app tally input: owners of one (vm, app) with lines. */
+    struct VmAppPair
+    {
+        VmId vm;
+        AppId app;
+        std::uint32_t liveOwners = 0;
+    };
+
     std::uint32_t setIndex(LineAddr line) const;
 
-    void accountFill(const AccessOwner &owner);
-    void accountDrop(const AccessOwner &owner);
+    /** Slot for @p owner, interning it on first sight. */
+    OwnerIndex intern(const AccessOwner &owner);
+
+    void accountFill(OwnerIndex idx);
+    void accountDrop(OwnerIndex idx);
 
     /**
      * Recomputes occupancy from the line array and checks it against
-     * the incremental accounting (sum over apps == sum over VCs ==
-     * validCount_ == valid lines). Debug builds call this after bulk
-     * mutations; it is O(lines), so not per-access.
+     * the incremental accounting (per-owner counts, their sum ==
+     * validCount_, and the per-VM distinct-app tallies). Debug builds
+     * call this after bulk mutations; it is O(lines), so not
+     * per-access.
      */
     void checkOccupancyInvariant() const;
 
@@ -185,26 +209,34 @@ class CacheArray
     // (8 B/way instead of a ~32 B Line struct) and validity is one
     // bitmask word per set, which also turns the invalid-victim
     // search into a single bit-scan. Owners are only touched on
-    // fill/evict, never on the hit path.
+    // fill/evict, never on the hit path, and are stored as a 2 B
+    // index into the per-array owner table.
     std::vector<LineAddr> tags_;
     std::vector<std::uint64_t> validBits_;
-    std::vector<AccessOwner> owners_;
+    std::vector<OwnerIndex> lineOwner_;
     std::unique_ptr<ReplPolicy> repl_;
     // Dense id-indexed maps throughout: these sit on the per-access
-    // path (mask resolution, occupancy accounting, the vulnerability
-    // metric), and they iterate in ascending-id order, so stats and
-    // placement output is as deterministic as the std::map originals.
+    // path (mask resolution, the vulnerability metric), and they
+    // iterate in ascending-id order, so stats and placement output is
+    // as deterministic as the std::map originals.
     SmallIdMap<VcId, WayMask> masks_;
     /** Fallback fill rights when no mask is installed (all ways). */
     WayMask fullMask_;
 
     std::uint64_t validCount_ = 0;
-    SmallIdMap<AppId, std::uint64_t> appOccupancy_;
-    SmallIdMap<VcId, std::uint64_t> vcOccupancy_;
-    /** Per-VM set of apps with >0 lines: vm -> (app -> count). */
-    SmallIdMap<VmId, SmallIdMap<AppId, std::uint64_t>> vmApps_;
+    /**
+     * Owner table, in first-fill order. Entries are never removed, so
+     * an index stays valid for the array's lifetime; the table holds
+     * one entry per distinct (app, vc, vm, latencyCritical) seen.
+     */
+    std::vector<OwnerSlot> owners_;
+    /** Per app id (slot app + 1): the owner it interned last. */
+    std::vector<OwnerIndex> appHint_;
+    std::vector<VmAppPair> vmApps_;
+    /** Per VM: distinct apps with >0 lines. */
+    SmallIdMap<VmId, std::uint32_t> vmLiveApps_;
     /** Distinct (vm, app) pairs with >0 lines, summed over all VMs. */
-    std::size_t vmAppTotal_ = 0;
+    std::uint32_t vmAppTotal_ = 0;
 };
 
 } // namespace jumanji

@@ -186,6 +186,9 @@ MemPath::installPlacement(VcId vc, const PlacementDescriptor &desc)
     std::uint64_t moved = 0;
     std::vector<std::pair<LineAddr, AccessOwner>> evictees;
     for (auto &bank : banks_) {
+        // The predicate below is false on every line of a bank that
+        // holds none of this VC's lines, so skip the whole-array scan.
+        if (bank->constArray().occupancyOfVc(vc) == 0) continue;
         BankId here = bank->id();
         bank->array().invalidateIf(
             [&](LineAddr line, const AccessOwner &o) {

@@ -1,6 +1,7 @@
 #include "src/dnuca/umon.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/sim/check.hh"
 #include "src/sim/logging.hh"
@@ -10,7 +11,8 @@ namespace jumanji {
 
 Umon::Umon(const UmonParams &params)
     : params_(params),
-      stacks_(params.sets),
+      stacks_(static_cast<std::size_t>(params.sets) * params.ways, 0),
+      depth_(params.sets, 0),
       hitCounters_(params.ways, 0)
 {
     if (params.sets == 0 || params.ways == 0)
@@ -23,7 +25,6 @@ Umon::Umon(const UmonParams &params)
                   static_cast<double>(std::max<std::uint64_t>(1, tags));
     if (sampleRate_ < 1.0) sampleRate_ = 1.0;
     rateInt_ = static_cast<std::uint64_t>(sampleRate_);
-    for (auto &stack : stacks_) stack.reserve(params.ways);
 }
 
 void
@@ -33,23 +34,26 @@ Umon::recordSampled(LineAddr line)
 
     auto set = static_cast<std::uint32_t>(umon_detail::mix(line) %
                                           params_.sets);
-    auto &stack = stacks_[set];
+    LineAddr *stack =
+        stacks_.data() + static_cast<std::size_t>(set) * params_.ways;
+    std::uint32_t &depth = depth_[set];
 
-    auto it = std::find(stack.begin(), stack.end(), line);
-    if (it != stack.end()) {
-        auto pos = static_cast<std::size_t>(it - stack.begin());
+    std::uint32_t pos = 0;
+    while (pos < depth && stack[pos] != line) pos++;
+    if (pos < depth) {
         JUMANJI_ASSERT(pos < hitCounters_.size(),
                        "recency position beyond UMON ways");
         hitCounters_[pos]++;
-        // Move-to-front in one pass (erase + re-insert would shift
-        // the suffix twice); the resulting order is identical.
-        std::rotate(stack.begin(), it, it + 1);
     } else {
         missCounter_++;
-        if (stack.size() >= params_.ways) stack.pop_back();
-        stack.insert(stack.begin(), line);
+        // Insert at MRU; a full stack drops its LRU tag.
+        if (depth < params_.ways) depth++;
+        pos = depth - 1;
     }
-    JUMANJI_INVARIANT(stack.size() <= params_.ways,
+    // Move-to-front: shift the pos more-recent tags down one slot.
+    std::memmove(stack + 1, stack, pos * sizeof(LineAddr));
+    stack[0] = line;
+    JUMANJI_INVARIANT(depth <= params_.ways,
                       "UMON LRU stack outgrew its associativity");
     JUMANJI_INVARIANT(sampledAccesses_ <= accesses_,
                       "sampled more accesses than were observed");

@@ -98,6 +98,12 @@ class Umon
 
     const UmonParams &params() const { return params_; }
 
+    /** Hits by recency position (0 = MRU); clear() and decay() apply. */
+    const std::vector<std::uint64_t> &hitCounters() const
+    {
+        return hitCounters_;
+    }
+
     /** Registers UMON stats under @p prefix ("dnuca.umon03."). */
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
@@ -119,8 +125,12 @@ class Umon
     /** sampleRate_ truncated once, for the per-access modulo. */
     std::uint64_t rateInt_;
 
-    /** Per-set LRU stacks of line tags, most recent first. */
-    std::vector<std::vector<LineAddr>> stacks_;
+    /**
+     * Per-set LRU stacks of line tags, most recent first, in one flat
+     * sets x ways array: set s occupies [s*ways, s*ways + depth_[s]).
+     */
+    std::vector<LineAddr> stacks_;
+    std::vector<std::uint32_t> depth_;
 
     /** Hits by recency position (0 = MRU). */
     std::vector<std::uint64_t> hitCounters_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <utility>
 
 #include "src/sim/logging.hh"
 #include "src/workloads/kv/kv_store.hh"
@@ -717,43 +718,51 @@ expandSpec(const ExperimentSpec &spec)
 SpecRun
 runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator)
 {
-    SpecRun run;
-    run.plan = expandSpec(spec);
+    SpecPlan plan = expandSpec(spec);
+    resolveCalibrations(spec, plan, orchestrator);
+    return runPlan(std::move(plan), orchestrator);
+}
 
-    if (spec.calibration == CalibrationMode::Shared) {
-        std::vector<LcCalibration> calibrations =
-            orchestrator.runCalibrations(run.plan.calibrationPlan);
-        // Calibrations are per (variant, name): each variant's config
-        // may differ, so its apps are calibrated separately (exactly
-        // as the per-variant harnesses of the handwritten benches
-        // did). Walking the jobs in order and consuming plan entries
-        // at each first-seen (variant, name) replays the expansion's
-        // insertion order, so `next` stays in lockstep with the plan.
-        std::size_t jobsPerVariant = spec.loads.size() *
-                                     spec.groups.size() *
-                                     run.plan.mixCount;
-        std::vector<LcCalibrationMap> byVariant(spec.variants.size());
-        std::size_t next = 0;
-        for (JobId id = 0; id < run.plan.graph.size(); id++) {
-            std::size_t v = id / jobsPerVariant;
-            SweepJob &job = run.plan.graph.mutableJob(id);
-            for (const VmSpec &vm : job.mix.vms) {
-                for (const std::string &lc : vm.lcApps) {
-                    if (byVariant[v].find(lc) == byVariant[v].end()) {
-                        if (next >=
-                                run.plan.calibrationPlan.size() ||
-                            run.plan.calibrationPlan[next].lcName !=
-                                lc)
-                            panic("calibration plan out of step at " +
-                                  job.label + "/" + lc);
-                        byVariant[v][lc] = calibrations[next++];
-                    }
-                    job.calibrations[lc] = byVariant[v][lc];
+void
+resolveCalibrations(const ExperimentSpec &spec, SpecPlan &plan,
+                    Orchestrator &orchestrator)
+{
+    if (spec.calibration != CalibrationMode::Shared) return;
+    std::vector<LcCalibration> calibrations =
+        orchestrator.runCalibrations(plan.calibrationPlan);
+    // Calibrations are per (variant, name): each variant's config
+    // may differ, so its apps are calibrated separately (exactly
+    // as the per-variant harnesses of the handwritten benches
+    // did). Walking the jobs in order and consuming plan entries
+    // at each first-seen (variant, name) replays the expansion's
+    // insertion order, so `next` stays in lockstep with the plan.
+    std::size_t jobsPerVariant =
+        spec.loads.size() * spec.groups.size() * plan.mixCount;
+    std::vector<LcCalibrationMap> byVariant(spec.variants.size());
+    std::size_t next = 0;
+    for (JobId id = 0; id < plan.graph.size(); id++) {
+        std::size_t v = id / jobsPerVariant;
+        SweepJob &job = plan.graph.mutableJob(id);
+        for (const VmSpec &vm : job.mix.vms) {
+            for (const std::string &lc : vm.lcApps) {
+                if (byVariant[v].find(lc) == byVariant[v].end()) {
+                    if (next >= plan.calibrationPlan.size() ||
+                        plan.calibrationPlan[next].lcName != lc)
+                        panic("calibration plan out of step at " +
+                              job.label + "/" + lc);
+                    byVariant[v][lc] = calibrations[next++];
                 }
+                job.calibrations[lc] = byVariant[v][lc];
             }
         }
     }
+}
 
+SpecRun
+runPlan(SpecPlan plan, Orchestrator &orchestrator)
+{
+    SpecRun run;
+    run.plan = std::move(plan);
     std::vector<JobOutcome> outcomes =
         orchestrator.run(run.plan.graph);
     run.results.reserve(outcomes.size());

@@ -222,9 +222,26 @@ struct SpecRun
  * Expands @p spec, resolves shared calibrations through
  * @p orchestrator, runs the JobGraph, and returns results in job
  * order. Throws FatalError if any job fails — a figure with silently
- * missing points would be worse than no figure.
+ * missing points would be worse than no figure. Equivalent to
+ * expandSpec, then resolveCalibrations, then runPlan; callers that
+ * time calibration apart from the job run call those three.
  */
 SpecRun runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator);
+
+/**
+ * For CalibrationMode::Shared, runs @p plan's calibration requests
+ * through @p orchestrator and hands every job the calibrations of its
+ * LC apps. A no-op in the other modes, where jobs calibrate
+ * themselves.
+ */
+void resolveCalibrations(const ExperimentSpec &spec, SpecPlan &plan,
+                         Orchestrator &orchestrator);
+
+/**
+ * Runs @p plan's JobGraph (calibrations already resolved) and returns
+ * results in job order. Throws FatalError if any job fails.
+ */
+SpecRun runPlan(SpecPlan plan, Orchestrator &orchestrator);
 
 /**
  * Renders the result table(s) — the section headings, column

@@ -7,13 +7,19 @@
  * wake-up tick and returns the tick at which it next wants to run.
  * A binary heap orders agents by wake-up time; ties break by a stable
  * sequence number so runs are deterministic.
+ *
+ * The heap is hand-rolled rather than a std::priority_queue because
+ * the common step -- resume the earliest agent and reschedule it --
+ * is then one sift-down of the top slot instead of a pop (sift-down)
+ * followed by a push (sift-up). (when, seq) is a strict total order,
+ * so any valid heap surfaces entries in exactly the same sequence.
  */
 
 #ifndef JUMANJI_SIM_EVENT_QUEUE_HH
 #define JUMANJI_SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/sim/check.hh"
@@ -45,6 +51,10 @@ class Agent
 
 /**
  * The DES kernel: schedules agents and advances simulated time.
+ *
+ * The running agent's entry stays at the top of the heap until its
+ * resume() returns, and is then overwritten in place. An agent may
+ * schedule() others from resume(), but never earlier than now().
  */
 class EventQueue
 {
@@ -53,7 +63,8 @@ class EventQueue
     void
     schedule(Agent *agent, Tick when)
     {
-        heap_.push(Entry{when, seq_++, agent});
+        heap_.push_back(Entry{when, seq_++, agent});
+        siftUp(heap_.size() - 1);
     }
 
     /** Current simulated time. */
@@ -71,20 +82,26 @@ class EventQueue
     Tick
     runUntil(Tick until)
     {
-        while (!heap_.empty() && heap_.top().when < until) {
-            Entry e = heap_.top();
-            heap_.pop();
+        while (!heap_.empty() && heap_.front().when < until) {
+            const Entry top = heap_.front();
             // Event-queue monotonicity: the heap must never surface
             // an event from the past.
-            JUMANJI_INVARIANT(e.when >= now_,
+            JUMANJI_INVARIANT(top.when >= now_,
                               "event queue went backwards in time");
-            now_ = e.when;
+            now_ = top.when;
             checkSetTick(now_);
-            Tick next = e.agent->resume(now_);
+            Tick next = top.agent->resume(now_);
+            JUMANJI_INVARIANT(heap_.front().seq == top.seq,
+                              "an agent scheduled into the past");
             if (next != kTickMax) {
                 // Time must advance; a zero-delay self-loop would hang.
                 if (next <= now_) next = now_ + 1;
-                heap_.push(Entry{next, seq_++, e.agent});
+                siftDownFromTop(Entry{next, seq_++, top.agent});
+            } else {
+                // Retire: the last entry takes the vacated top slot.
+                const Entry last = heap_.back();
+                heap_.pop_back();
+                if (!heap_.empty()) siftDownFromTop(last);
             }
         }
         if (now_ < until) now_ = until;
@@ -105,16 +122,49 @@ class EventQueue
         Tick when;
         std::uint64_t seq;
         Agent *agent;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            if (when != o.when) return when > o.when;
-            return seq > o.seq;
-        }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    /** Strict (when, seq) order: true if @p a runs before @p b. */
+    static bool
+    before(const Entry &a, const Entry &b)
+    {
+        if (a.when != b.when) return a.when < b.when;
+        return a.seq < b.seq;
+    }
+
+    void
+    siftUp(std::size_t i)
+    {
+        const Entry e = heap_[i];
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / 2;
+            if (!before(e, heap_[parent])) break;
+            heap_[i] = heap_[parent];
+            i = parent;
+        }
+        heap_[i] = e;
+    }
+
+    /** Places @p e in the top slot and restores the heap below it. */
+    void
+    siftDownFromTop(const Entry &e)
+    {
+        const std::size_t n = heap_.size();
+        std::size_t i = 0;
+        for (;;) {
+            std::size_t child = 2 * i + 1;
+            if (child >= n) break;
+            if (child + 1 < n && before(heap_[child + 1], heap_[child]))
+                child++;
+            if (!before(heap_[child], e)) break;
+            heap_[i] = heap_[child];
+            i = child;
+        }
+        heap_[i] = e;
+    }
+
+    /** Min-heap on (when, seq); heap_[0] runs next. */
+    std::vector<Entry> heap_;
     std::uint64_t seq_ = 0;
     Tick now_ = 0;
 };

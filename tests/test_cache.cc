@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "src/cache/cache_array.hh"
 #include "src/cache/cache_bank.hh"
 #include "src/cache/replacement.hh"
@@ -449,6 +455,302 @@ TEST_P(PartitionIsolation, VictimNeverCrossesMask)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionIsolation,
                          ::testing::Values(1, 7, 21, 63));
+
+// ------------------------------------------- oracle: naive reference
+
+/**
+ * A deliberately naive CacheArray: one record per line holding the
+ * full owner, occupancy recomputed by scanning every line, and a
+ * std::map of masks. It drives its own replacement policy instance
+ * (same kind and seed) with the same call sequence, so the two arrays
+ * must agree on every victim, eviction and occupancy query.
+ */
+class ReferenceArray
+{
+  public:
+    ReferenceArray(std::uint32_t sets, std::uint32_t ways, ReplKind kind,
+                   std::uint64_t seed)
+        : sets_(sets), ways_(ways), lines_(sets * ways),
+          repl_(ReplPolicy::create(kind, sets, ways, seed))
+    {
+    }
+
+    ArrayAccessResult
+    access(LineAddr line, const AccessOwner &owner)
+    {
+        ArrayAccessResult r;
+        const std::uint32_t set = setOf(line);
+        for (std::uint32_t w = 0; w < ways_; w++) {
+            if (at(set, w).valid && at(set, w).tag == line) {
+                repl_->onHit(set, w);
+                r.hit = true;
+                return r;
+            }
+        }
+        std::uint32_t victim = 0;
+        if (!pickVictim(set, owner.vc, &victim)) return r;
+        Line &l = at(set, victim);
+        if (l.valid) {
+            r.evicted = true;
+            r.evictedOwner = l.owner;
+            r.evictedLine = l.tag;
+        }
+        l = Line{true, line, owner};
+        repl_->onFill(set, victim);
+        return r;
+    }
+
+    bool
+    insert(LineAddr line, const AccessOwner &owner)
+    {
+        const std::uint32_t set = setOf(line);
+        for (std::uint32_t w = 0; w < ways_; w++)
+            if (at(set, w).valid && at(set, w).tag == line) return true;
+        std::uint32_t victim = 0;
+        if (!pickVictim(set, owner.vc, &victim)) return false;
+        at(set, victim) = Line{true, line, owner};
+        repl_->onFill(set, victim);
+        return true;
+    }
+
+    bool
+    contains(LineAddr line)
+    {
+        const std::uint32_t set = setOf(line);
+        for (std::uint32_t w = 0; w < ways_; w++)
+            if (at(set, w).valid && at(set, w).tag == line) return true;
+        return false;
+    }
+
+    template <typename Pred>
+    std::uint64_t
+    invalidateIf(Pred pred)
+    {
+        std::uint64_t dropped = 0;
+        for (std::uint32_t s = 0; s < sets_; s++) {
+            for (std::uint32_t w = 0; w < ways_; w++) {
+                Line &l = at(s, w);
+                if (l.valid && pred(l.tag, l.owner)) {
+                    l.valid = false;
+                    repl_->onInvalidate(s, w);
+                    dropped++;
+                }
+            }
+        }
+        return dropped;
+    }
+
+    void setWayMask(VcId vc, const WayMask &m) { masks_[vc] = m; }
+    void clearWayMasks() { masks_.clear(); }
+
+    std::uint64_t
+    occupancyOfApp(AppId app) const
+    {
+        std::uint64_t n = 0;
+        for (const Line &l : lines_) n += l.valid && l.owner.app == app;
+        return n;
+    }
+
+    std::uint64_t
+    occupancyOfVc(VcId vc) const
+    {
+        std::uint64_t n = 0;
+        for (const Line &l : lines_) n += l.valid && l.owner.vc == vc;
+        return n;
+    }
+
+    /** Distinct (vm, app) pairs holding at least one valid line. */
+    std::set<std::pair<VmId, AppId>>
+    liveVmApps() const
+    {
+        std::set<std::pair<VmId, AppId>> apps;
+        for (const Line &l : lines_)
+            if (l.valid) apps.emplace(l.owner.vm, l.owner.app);
+        return apps;
+    }
+
+    std::uint64_t
+    validLines() const
+    {
+        std::uint64_t n = 0;
+        for (const Line &l : lines_) n += l.valid;
+        return n;
+    }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        LineAddr tag = 0;
+        AccessOwner owner;
+    };
+
+    /** The array's set hash (a Murmur3 finalizer), restated. */
+    std::uint32_t
+    setOf(LineAddr x) const
+    {
+        x ^= x >> 33;
+        x *= 0xff51afd7ed558ccdull;
+        x ^= x >> 33;
+        x *= 0xc4ceb9fe1a85ec53ull;
+        x ^= x >> 33;
+        return static_cast<std::uint32_t>(x & (sets_ - 1));
+    }
+
+    Line &at(std::uint32_t s, std::uint32_t w) { return lines_[s * ways_ + w]; }
+
+    /** Lowest invalid way in the mask, else the policy's victim. */
+    bool
+    pickVictim(std::uint32_t set, VcId vc, std::uint32_t *victim)
+    {
+        auto it = masks_.find(vc);
+        WayMask mask = it != masks_.end() ? it->second : WayMask::all(ways_);
+        if (mask.empty()) return false;
+        for (std::uint32_t w = 0; w < ways_; w++) {
+            if (mask.contains(w) && !at(set, w).valid) {
+                *victim = w;
+                return true;
+            }
+        }
+        *victim = repl_->victimWay(set, mask);
+        return true;
+    }
+
+    std::uint32_t sets_;
+    std::uint32_t ways_;
+    std::vector<Line> lines_;
+    std::map<VcId, WayMask> masks_;
+    std::unique_ptr<ReplPolicy> repl_;
+};
+
+bool
+sameOwner(const AccessOwner &a, const AccessOwner &b)
+{
+    return a.app == b.app && a.vc == b.vc && a.vm == b.vm &&
+           a.latencyCritical == b.latencyCritical;
+}
+
+struct OracleCase
+{
+    ReplKind kind;
+    std::uint64_t seed;
+};
+
+class CacheArrayOracle : public ::testing::TestWithParam<OracleCase>
+{
+};
+
+TEST_P(CacheArrayOracle, MatchesNaiveReference)
+{
+    const std::uint32_t sets = 8, ways = 16;
+    const OracleCase c = GetParam();
+    CacheArray array(sets, ways, c.kind, c.seed);
+    ReferenceArray ref(sets, ways, c.kind, c.seed);
+    Rng rng(c.seed * 7919 + 1);
+
+    // 12 apps over 4 VMs; apps 0-3 are latency-critical; VCs 0-11 are
+    // private, 12-13 are shared by a VM's apps, so one app fills as
+    // two distinct owners and one VC holds several apps' lines.
+    const AppId kApps = 12;
+    const VcId kVcs = 14;
+    const VmId kVms = 4;
+    auto ownerFor = [&](AppId app) {
+        AccessOwner o;
+        o.app = app;
+        o.vm = app % kVms;
+        o.vc = rng.below(4) == 0 ? 12 + app % 2 : app;
+        o.latencyCritical = app < 4;
+        return o;
+    };
+    auto randomMask = [&]() {
+        std::uint32_t first = static_cast<std::uint32_t>(rng.below(ways));
+        std::uint32_t count = static_cast<std::uint32_t>(
+            rng.below(ways - first + 1)); // 0 = no fill rights
+        return WayMask::range(first, count);
+    };
+
+    std::uint64_t hits = 0, evictions = 0, dropped = 0;
+    for (int op = 0; op < 8000; op++) {
+        const std::uint64_t roll = rng.below(1000);
+        // A per-app working set that overflows the array.
+        const AppId app = static_cast<AppId>(rng.below(kApps));
+        const LineAddr line =
+            static_cast<LineAddr>(app) * 1000 + rng.below(40);
+        if (roll < 880) {
+            AccessOwner o = ownerFor(app);
+            ArrayAccessResult got = array.access(line, o);
+            ArrayAccessResult want = ref.access(line, o);
+            ASSERT_EQ(got.hit, want.hit) << "op " << op;
+            ASSERT_EQ(got.evicted, want.evicted) << "op " << op;
+            if (want.evicted) {
+                ASSERT_EQ(got.evictedLine, want.evictedLine) << "op " << op;
+                ASSERT_TRUE(sameOwner(got.evictedOwner, want.evictedOwner))
+                    << "op " << op;
+            }
+            hits += want.hit;
+            evictions += want.evicted;
+        } else if (roll < 930) {
+            AccessOwner o = ownerFor(app);
+            ASSERT_EQ(array.insert(line, o), ref.insert(line, o))
+                << "op " << op;
+        } else if (roll < 970) {
+            VcId vc = static_cast<VcId>(rng.below(kVcs));
+            WayMask m = randomMask();
+            array.setWayMask(vc, m);
+            ref.setWayMask(vc, m);
+        } else if (roll < 973) {
+            array.clearWayMasks();
+            ref.clearWayMasks();
+        } else if (roll < 985) {
+            VcId vc = static_cast<VcId>(rng.below(kVcs));
+            std::uint64_t n = ref.invalidateIf(
+                [vc](LineAddr, const AccessOwner &o) { return o.vc == vc; });
+            ASSERT_EQ(array.invalidateVc(vc), n) << "op " << op;
+            dropped += n;
+        } else if (roll < 998) {
+            // The coherence walk's shape: one VC, lines leaving a bank.
+            VmId vm = static_cast<VmId>(rng.below(kVms));
+            LineAddr parity = rng.below(2);
+            auto pred = [vm, parity](LineAddr l, const AccessOwner &o) {
+                return o.vm == vm && l % 2 == parity;
+            };
+            std::uint64_t n = ref.invalidateIf(pred);
+            ASSERT_EQ(array.invalidateIf(pred), n) << "op " << op;
+            dropped += n;
+        } else {
+            std::uint64_t n = ref.invalidateIf(
+                [](LineAddr, const AccessOwner &) { return true; });
+            ASSERT_EQ(array.invalidateAll(), n) << "op " << op;
+        }
+
+        ASSERT_EQ(array.validLines(), ref.validLines()) << "op " << op;
+        ASSERT_EQ(array.contains(line), ref.contains(line)) << "op " << op;
+        for (AppId a = -1; a <= kApps; a++)
+            ASSERT_EQ(array.occupancyOfApp(a), ref.occupancyOfApp(a))
+                << "op " << op << " app " << a;
+        for (VcId v = -1; v <= kVcs; v++)
+            ASSERT_EQ(array.occupancyOfVc(v), ref.occupancyOfVc(v))
+                << "op " << op << " vc " << v;
+        const auto live = ref.liveVmApps();
+        for (VmId v = -1; v <= kVms; v++) {
+            std::uint32_t others = 0;
+            for (const auto &[vm, a] : live) others += vm != v;
+            ASSERT_EQ(array.appsFromOtherVms(v), others)
+                << "op " << op << " vm " << v;
+        }
+    }
+    // The stream must exercise every path it claims to.
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(dropped, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, CacheArrayOracle,
+    ::testing::Values(OracleCase{ReplKind::DRRIP, 1},
+                      OracleCase{ReplKind::DRRIP, 29},
+                      OracleCase{ReplKind::LRU, 5},
+                      OracleCase{ReplKind::SRRIP, 11}));
 
 } // namespace
 } // namespace jumanji

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "src/dnuca/miss_curve.hh"
 #include "src/dnuca/umon.hh"
 #include "src/dnuca/vtb.hh"
@@ -209,6 +213,156 @@ TEST(Umon, SamplingScalesBack)
     double estimated = umon.missCurve().at(0);
     EXPECT_NEAR(estimated, n, 0.25 * n);
 }
+
+/**
+ * Oracle: an exact Mattson LRU stack-distance count over the same
+ * hash-sampled stream. Each UMON set sees its own sub-stream, so the
+ * oracle keeps one unbounded recency stack per set; a reuse at stack
+ * distance d is a hit at recency position d when d < ways and a miss
+ * otherwise (the UMON's bounded stack has already dropped the line).
+ */
+class MattsonOracle
+{
+  public:
+    explicit MattsonOracle(const UmonParams &p)
+        : p_(p), stacks_(p.sets), hits_(p.ways, 0)
+    {
+        sampleRate_ = std::max(
+            1.0, static_cast<double>(p.modelledLines) /
+                     static_cast<double>(std::uint64_t{p.sets} * p.ways));
+    }
+
+    void
+    access(LineAddr line)
+    {
+        auto rate = static_cast<std::uint64_t>(sampleRate_);
+        if (umon_detail::mix(line ^ 0x5bf03635ull) % rate != 0) return;
+        auto &stack = stacks_[umon_detail::mix(line) % p_.sets];
+        auto it = std::find(stack.begin(), stack.end(), line);
+        if (it == stack.end()) {
+            misses_++; // first touch: infinite stack distance
+        } else {
+            auto distance = static_cast<std::size_t>(it - stack.begin());
+            if (distance < p_.ways) hits_[distance]++;
+            else misses_++;
+            stack.erase(it);
+        }
+        stack.insert(stack.begin(), line);
+    }
+
+    void
+    decay(double f)
+    {
+        for (auto &h : hits_)
+            h = static_cast<std::uint64_t>(static_cast<double>(h) * f);
+        misses_ = static_cast<std::uint64_t>(
+            static_cast<double>(misses_) * f);
+    }
+
+    void
+    clear()
+    {
+        std::fill(hits_.begin(), hits_.end(), 0);
+        misses_ = 0;
+    }
+
+    const std::vector<std::uint64_t> &hits() const { return hits_; }
+
+    /** misses(k) = (misses + hits at positions >= k) * sample rate. */
+    MissCurve
+    missCurve() const
+    {
+        std::vector<double> pts(p_.ways + 1);
+        double tail = static_cast<double>(misses_);
+        pts[p_.ways] = tail;
+        for (std::size_t k = p_.ways; k-- > 0;) {
+            tail += static_cast<double>(hits_[k]);
+            pts[k] = tail;
+        }
+        for (double &x : pts) x *= sampleRate_;
+        return MissCurve(std::move(pts));
+    }
+
+  private:
+    UmonParams p_;
+    double sampleRate_;
+    std::vector<std::vector<LineAddr>> stacks_;
+    std::vector<std::uint64_t> hits_;
+    std::uint64_t misses_ = 0;
+};
+
+void
+expectUmonMatches(const Umon &umon, const MattsonOracle &oracle,
+                  const char *when)
+{
+    ASSERT_EQ(umon.hitCounters(), oracle.hits()) << when;
+    MissCurve got = umon.missCurve(), want = oracle.missCurve();
+    ASSERT_EQ(got.buckets(), want.buckets()) << when;
+    for (std::size_t k = 0; k <= want.buckets(); k++)
+        ASSERT_EQ(got.at(k), want.at(k)) << when << " bucket " << k;
+}
+
+class UmonOracle : public ::testing::TestWithParam<UmonParams>
+{
+};
+
+TEST_P(UmonOracle, MatchesExactStackDistances)
+{
+    const UmonParams p = GetParam();
+    Umon umon(p);
+    MattsonOracle oracle(p);
+    Rng rng(p.sets * 31 + p.ways);
+    // Hot lines, a cyclic working set near the monitored capacity,
+    // and a uniform tail, so reuse distances cover every position
+    // and overflow the stacks.
+    const std::uint64_t ws = std::uint64_t{p.sets} * p.ways *
+                             (p.modelledLines / (p.sets * p.ways)) * 3 / 4;
+    std::uint64_t cursor = 0;
+    auto feed = [&](int n) {
+        for (int i = 0; i < n; i++) {
+            std::uint64_t roll = rng.below(10);
+            LineAddr line;
+            if (roll < 2) line = rng.below(64);
+            else if (roll < 7) line = 100000 + (cursor++ % ws);
+            else line = 1000000 + rng.below(20 * ws);
+            umon.access(line);
+            oracle.access(line);
+        }
+    };
+    feed(60000);
+    expectUmonMatches(umon, oracle, "after warm-up");
+    std::uint64_t hitSum = 0;
+    for (std::uint64_t h : oracle.hits()) hitSum += h;
+    EXPECT_GT(hitSum, 1000u);
+    EXPECT_GT(oracle.hits().back(), 0u) << "deepest position never hit";
+
+    umon.decay(0.5);
+    oracle.decay(0.5);
+    expectUmonMatches(umon, oracle, "after decay");
+    feed(30000);
+    expectUmonMatches(umon, oracle, "after decay + traffic");
+
+    umon.clear();
+    oracle.clear();
+    expectUmonMatches(umon, oracle, "after clear");
+    feed(30000);
+    expectUmonMatches(umon, oracle, "after clear + traffic");
+}
+
+UmonParams
+umonGeometry(std::uint32_t sets, std::uint32_t ways, std::uint64_t rate)
+{
+    UmonParams p;
+    p.sets = sets;
+    p.ways = ways;
+    p.modelledLines = std::uint64_t{sets} * ways * rate;
+    return p;
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, UmonOracle,
+                         ::testing::Values(umonGeometry(16, 16, 1),
+                                           umonGeometry(32, 64, 5),
+                                           umonGeometry(7, 12, 3)));
 
 // ------------------------------------------------ PlacementDescriptor
 

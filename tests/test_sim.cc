@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "src/sim/event_queue.hh"
 #include "src/sim/logging.hh"
@@ -171,6 +175,139 @@ TEST(EventQueue, DeterministicTieBreak)
     queue.runUntil(100);
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
+
+/**
+ * Randomized differential test of the kernel's heap: the same agents
+ * driven through EventQueue and through a reference kernel built on
+ * std::priority_queue must resume in exactly the same (agent, tick)
+ * sequence and stop at the same ticks.
+ */
+class ScriptedAgent : public Agent
+{
+  public:
+    ScriptedAgent(int id, std::uint64_t seed,
+                  std::vector<std::pair<int, Tick>> *log)
+        : id_(id), rng_(seed), log_(log)
+    {
+    }
+
+    Tick
+    resume(Tick now) override
+    {
+        log_->emplace_back(id_, now);
+        std::uint64_t roll = rng_.below(100);
+        if (roll < 1) return kTickMax;           // retire
+        if (roll < 13) return now;               // zero delay: clamped
+        if (roll < 18) return now / 2;           // past: clamped
+        if (roll < 50) return now + 1 + rng_.below(3); // dense ties
+        return now + 1 + rng_.below(200);
+    }
+
+  private:
+    int id_;
+    Rng rng_;
+    std::vector<std::pair<int, Tick>> *log_;
+};
+
+/** The pre-heap kernel: pop, resume, push, on std::priority_queue. */
+class ReferenceQueue
+{
+  public:
+    void
+    schedule(Agent *agent, Tick when)
+    {
+        heap_.push(Entry{when, seq_++, agent});
+    }
+
+    Tick now() const { return now_; }
+
+    Tick
+    runUntil(Tick until)
+    {
+        while (!heap_.empty() && heap_.top().when < until) {
+            Entry e = heap_.top();
+            heap_.pop();
+            now_ = e.when;
+            Tick next = e.agent->resume(now_);
+            if (next != kTickMax) {
+                if (next <= now_) next = now_ + 1;
+                heap_.push(Entry{next, seq_++, e.agent});
+            }
+        }
+        if (now_ < until) now_ = until;
+        return now_;
+    }
+
+  private:
+    struct Entry
+    {
+        Tick when;
+        std::uint64_t seq;
+        Agent *agent;
+
+        bool
+        operator>(const Entry &o) const
+        {
+            if (when != o.when) return when > o.when;
+            return seq > o.seq;
+        }
+    };
+
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    std::uint64_t seq_ = 0;
+    Tick now_ = 0;
+};
+
+class EventQueueDifferential : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(EventQueueDifferential, MatchesPriorityQueueReference)
+{
+    const int kAgents = 21;
+    std::vector<std::pair<int, Tick>> gotLog, wantLog;
+    std::vector<std::unique_ptr<ScriptedAgent>> got, want;
+    for (int a = 0; a < kAgents; a++) {
+        std::uint64_t seed = GetParam() * 1000 + static_cast<std::uint64_t>(a);
+        got.push_back(std::make_unique<ScriptedAgent>(a, seed, &gotLog));
+        want.push_back(std::make_unique<ScriptedAgent>(a, seed, &wantLog));
+    }
+
+    EventQueue queue;
+    ReferenceQueue ref;
+    Rng plan(GetParam());
+    int scheduled = 0;
+    auto scheduleSome = [&](int n) {
+        for (int i = 0; i < n && scheduled < kAgents; i++, scheduled++) {
+            // Start ticks cluster so several agents tie at start.
+            Tick when = queue.now() + plan.below(4) * 5;
+            queue.schedule(got[scheduled].get(), when);
+            ref.schedule(want[scheduled].get(), when);
+        }
+    };
+    scheduleSome(8);
+    for (int step = 0; step < 200; step++) {
+        // Boundaries: sometimes the current tick (a no-op), often a
+        // tick an agent is due at, sometimes far ahead.
+        Tick until = queue.now() + plan.below(3) * plan.below(60);
+        ASSERT_EQ(queue.runUntil(until), ref.runUntil(until))
+            << "step " << step;
+        if (step % 20 == 0) scheduleSome(3);
+    }
+    queue.runToCompletion();
+    ref.runUntil(kTickMax);
+
+    ASSERT_GT(wantLog.size(), 1000u);
+    ASSERT_EQ(gotLog.size(), wantLog.size());
+    for (std::size_t i = 0; i < wantLog.size(); i++) {
+        ASSERT_EQ(gotLog[i], wantLog[i]) << "resume " << i;
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.now(), ref.now());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferential,
+                         ::testing::Values(1, 2, 3, 17, 4242));
 
 TEST(SampleStat, PercentilesSorted)
 {
