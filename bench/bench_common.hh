@@ -29,8 +29,6 @@
 
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
-#include "src/sim/logging.hh"
-#include "src/system/harness.hh"
 
 namespace jumanji {
 namespace bench {
@@ -113,45 +111,9 @@ orchestrator()
 }
 
 /**
- * Drop-in replacement for ExperimentHarness::sweep() that runs the
- * mixes through the orchestrator — byte-identical results, any
- * worker count.
- */
-inline std::vector<MixResult>
-sweep(ExperimentHarness &harness,
-      const std::vector<std::string> &lcNames, std::uint32_t mixes,
-      const std::vector<LlcDesign> &designs, LoadLevel load)
-{
-    return driver::parallelSweep(harness, lcNames, mixes, designs,
-                                 load, orchestrator());
-}
-
-/**
- * Runs a graph of independent jobs and unwraps the outcomes in
- * submission order, aborting the bench on the first failed job (a
- * figure with silently missing points would be worse than no
- * figure).
- */
-inline std::vector<MixResult>
-runJobs(const driver::JobGraph &graph)
-{
-    std::vector<driver::JobOutcome> outcomes =
-        orchestrator().run(graph);
-    std::vector<MixResult> results;
-    results.reserve(outcomes.size());
-    for (driver::JobId id = 0; id < outcomes.size(); id++) {
-        if (!outcomes[id].ok)
-            fatal("job " + graph.job(id).label +
-                  " failed: " + outcomes[id].error);
-        results.push_back(std::move(outcomes[id].result));
-    }
-    return results;
-}
-
-/**
  * Runs a spec through the process-wide orchestrator and returns the
- * plan + results (for benches that post-process, e.g. the ablation's
- * trading probe).
+ * plan + results (for benches that post-process them: table1, fig05,
+ * fig14, fig15, and the ablation's trading probe).
  */
 inline driver::SpecRun
 runSpec(const driver::ExperimentSpec &spec)

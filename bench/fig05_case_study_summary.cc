@@ -9,7 +9,7 @@
  * deadlines; Jumanji meets deadlines with near-Jigsaw speedup.
  */
 
-#include "bench/bench_common.hh"
+#include "bench/specs.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -18,13 +18,12 @@ int
 main()
 {
     setQuiet(true);
-    header("Figure 5", "case study: tail latency + batch speedup per "
-                       "design");
-    std::uint32_t mixes = ExperimentHarness::mixCountFromEnv(3);
-
-    ExperimentHarness harness(benchConfig());
-    auto results = harness.sweep({"xapian"}, mixes, mainDesigns(),
-                                 LoadLevel::High);
+    driver::ExperimentSpec spec = specs::mainComparison(
+        "fig05-case-study-summary", {"xapian", {"xapian"}},
+        {LoadLevel::High}, "Figure 5",
+        "case study: tail latency + batch speedup per design");
+    header(spec.output.title, spec.output.caption);
+    const std::vector<MixResult> results = runSpec(spec).results;
 
     auto speedups = gmeanSpeedups(results);
     auto vuln = meanVulnerability(results);

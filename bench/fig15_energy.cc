@@ -10,7 +10,7 @@
  * slightly worse (associativity loss).
  */
 
-#include "bench/bench_common.hh"
+#include "bench/specs.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -19,13 +19,12 @@ int
 main()
 {
     setQuiet(true);
-    header("Figure 15", "dynamic data-movement energy by level, "
-                        "normalized to Static");
-    std::uint32_t mixes = ExperimentHarness::mixCountFromEnv(3);
-
-    ExperimentHarness harness(benchConfig());
-    auto results = harness.sweep(allTailAppNames(), mixes,
-                                 mainDesigns(), LoadLevel::High);
+    driver::ExperimentSpec spec = specs::mainComparison(
+        "fig15-energy", {"Mixed", allTailAppNames()}, {LoadLevel::High},
+        "Figure 15",
+        "dynamic data-movement energy by level, normalized to Static");
+    header(spec.output.title, spec.output.caption);
+    const std::vector<MixResult> results = runSpec(spec).results;
 
     // Average energy per *instruction* (equal work, as the paper's
     // fixed-work methodology implies), then normalize to Static.

@@ -4,8 +4,8 @@
  * C++ twin of a scenario document (fig13Small() mirrors
  * examples/scenarios/fig13_small.json — tests/test_spec.cc proves
  * they normalize to the same JSON), and each bench binary is a thin
- * main() around runSpecMain(spec), byte-identical to the former
- * handwritten loops.
+ * main() around runSpecMain(spec) or, where it post-processes the
+ * results, around runSpec(spec).
  */
 
 #ifndef JUMANJI_BENCH_SPECS_HH
@@ -89,6 +89,30 @@ fig13Small()
         "Paper: Adaptive/VM-Part/Jumanji meet deadlines, Jigsaw "
         "violates badly; Jumanji/Jigsaw speed up batch 11-18%, "
         "S-NUCAs <= 4%.";
+    return spec;
+}
+
+/**
+ * The main comparison grid of the benches that post-process their
+ * results themselves (table1, fig05, fig14, fig15): mainDesigns()
+ * against Static over salted random 4 VM x 4 batch mixes of one LC
+ * group, shared calibrations, at @p loads. Only the banner fields of
+ * the output descriptor are printed.
+ */
+inline driver::ExperimentSpec
+mainComparison(const std::string &name, driver::SpecGroup group,
+               std::vector<LoadLevel> loads, const std::string &title,
+               const std::string &caption)
+{
+    driver::ExperimentSpec spec;
+    spec.name = name;
+    spec.designs = mainDesigns();
+    spec.loads = std::move(loads);
+    spec.groups = {std::move(group)};
+    spec.output.title = title;
+    spec.output.caption = caption;
+    spec.output.sectionLabel = "[{load} load, LC={group}, {mixes} "
+                               "mixes]";
     return spec;
 }
 

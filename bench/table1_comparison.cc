@@ -13,7 +13,7 @@
 
 #include <algorithm>
 
-#include "bench/bench_common.hh"
+#include "bench/specs.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -22,13 +22,13 @@ int
 main()
 {
     setQuiet(true);
-    header("Table I", "tail latency / security / batch speedup by "
-                      "design (measured)");
-    std::uint32_t mixes = ExperimentHarness::mixCountFromEnv(3);
-
-    ExperimentHarness harness(benchConfig());
-    auto results = harness.sweep(allTailAppNames(), mixes,
-                                 mainDesigns(), LoadLevel::High);
+    driver::ExperimentSpec spec = specs::mainComparison(
+        "table1-comparison", {"Mixed", allTailAppNames()},
+        {LoadLevel::High}, "Table I",
+        "tail latency / security / batch speedup by design "
+        "(measured)");
+    header(spec.output.title, spec.output.caption);
+    const std::vector<MixResult> results = runSpec(spec).results;
     auto speedups = gmeanSpeedups(results);
     auto vuln = meanVulnerability(results);
 

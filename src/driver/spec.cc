@@ -666,12 +666,13 @@ expandSpec(const ExperimentSpec &spec)
             : spec.mixes.count;
 
     // Expansion order contract: variants → loads → groups → mixes.
-    // Per-mix seed derivation and the optional 0x5eed mix-RNG salt
-    // replicate the handwritten sweeps exactly (see file comment in
-    // spec.hh). Shared calibrations are planned in the same pass, in
-    // lazy first-seen order per variant — each LC app paired with the
+    // The per-mix seed derivation and the optional 0x5eed mix-RNG
+    // salt live here and nowhere else (see file comment in spec.hh).
+    // Shared calibrations are planned in the same pass, in lazy
+    // first-seen order per variant — each LC app paired with the
     // config of the first job whose mix contains it, which is what
-    // the serial harness's lazy calibrationFor would have used.
+    // one harness's lazy calibrationFor would use walking the jobs
+    // in order. Each job's trace lanes are named after its label.
     std::vector<std::set<std::string>> planned(spec.variants.size());
     for (std::size_t v = 0; v < spec.variants.size(); v++) {
         const SystemConfig &variantCfg = plan.variantConfigs[v];
@@ -689,6 +690,7 @@ expandSpec(const ExperimentSpec &spec)
                     job.config = variantCfg;
                     job.config.seed =
                         variantCfg.seed + m * 1000003ull;
+                    job.config.traceLabel = job.label;
                     Rng mixRng(job.config.seed ^
                                (spec.mixes.salt ? 0x5eedull : 0ull));
                     job.mix =
@@ -731,11 +733,10 @@ resolveCalibrations(const ExperimentSpec &spec, SpecPlan &plan,
     std::vector<LcCalibration> calibrations =
         orchestrator.runCalibrations(plan.calibrationPlan);
     // Calibrations are per (variant, name): each variant's config
-    // may differ, so its apps are calibrated separately (exactly
-    // as the per-variant harnesses of the handwritten benches
-    // did). Walking the jobs in order and consuming plan entries
-    // at each first-seen (variant, name) replays the expansion's
-    // insertion order, so `next` stays in lockstep with the plan.
+    // may differ, so its apps are calibrated separately. Walking the
+    // jobs in order and consuming plan entries at each first-seen
+    // (variant, name) replays the expansion's insertion order, so
+    // `next` stays in lockstep with the plan.
     std::size_t jobsPerVariant =
         spec.loads.size() * spec.groups.size() * plan.mixCount;
     std::vector<LcCalibrationMap> byVariant(spec.variants.size());

@@ -10,11 +10,12 @@
  * execution with byte-identical output, the content-addressed result
  * cache, and submission-order merging.
  *
- * The expansion replicates the handwritten bench loops *exactly*
- * (per-mix seed = base.seed + m * 1000003, mix RNG optionally salted
- * with 0x5eed, lazy first-seen calibration order), so a bench
- * rewritten as a spec produces byte-identical stdout — proven by the
- * golden diffs in tests/test_spec.cc and CI's scenario job.
+ * expandSpec is the project's only grid expander: every bench,
+ * scenario file and jumanji_cli run turns its grid into jobs here.
+ * The derivation it owns — the per-mix seeds, the optionally salted
+ * mix RNG, lazy first-seen calibration order (spec.cc) — is checked
+ * against an independent serial loop in tests/test_spec.cc and
+ * pinned by the goldens CI diffs.
  */
 
 #ifndef JUMANJI_DRIVER_SPEC_HH
@@ -45,10 +46,10 @@ struct SeedPolicy
 /**
  * How workload mixes are generated: @p count random 4-LC-VM mixes
  * (JUMANJI_MIXES overrides when fromEnv), each built by
- * makeMix(group.lc, vms, batchPerVm, Rng(seed [^ 0x5eed])). The salt
- * matches the sweep-style benches (fig13/17/18); unsalted matches
- * the single-mix case studies (fig09, ablations), whose mix RNG is
- * seeded with the raw config seed.
+ * makeMix(group.lc, vms, batchPerVm, Rng(seed [^ 0x5eed])). The
+ * sweep-style benches (table1, fig05, fig13-18) and jumanji_cli use
+ * the salt; the single-mix case studies (fig09, ablations) seed the
+ * mix RNG with the raw config seed.
  */
 struct MixPolicy
 {
@@ -84,13 +85,14 @@ struct SpecVariant
 /**
  * LC calibration policy.
  *  - Shared: per variant, each LC app is calibrated once with the
- *    config of the first job whose mix contains it (the serial
- *    harness's lazy order, as parallelSweep replicates), and jobs
- *    carry the calibrations (selfCalibrate = false). Matches the
- *    shared-harness benches: fig13, fig16, fig18.
- *  - PerJob: every job calibrates itself from its own config.
- *    Matches the fresh-harness-per-point benches: fig09, fig17, the
- *    ablations.
+ *    config of the first job whose mix contains it (the lazy order
+ *    of one ExperimentHarness walking the jobs in turn), and jobs
+ *    carry the calibrations (selfCalibrate = false). Used by fig13,
+ *    fig14, fig15, fig16, fig18, table1, fig05 and `jumanji_cli
+ *    --sweep`.
+ *  - PerJob: every job calibrates itself from its own config (a
+ *    fresh harness per point). Used by fig09, fig17, the ablations
+ *    and jumanji_cli's default ad-hoc grid.
  */
 enum class CalibrationMode
 {
@@ -245,10 +247,9 @@ SpecRun runPlan(SpecPlan plan, Orchestrator &orchestrator);
 
 /**
  * Renders the result table(s) — the section headings, column
- * headers, and "%12.3f" value rows, byte-identical to the
- * handwritten benches — as a string (src/ routes output through
- * return values, not stdout; callers print it). Does not include
- * the banner or note; renderSpec does.
+ * headers, and "%12.3f" value rows — as a string (src/ routes
+ * output through return values, not stdout; callers print it).
+ * Does not include the banner or note; renderSpec does.
  */
 std::string renderSpecTable(const ExperimentSpec &spec,
                             const SpecRun &run);

@@ -745,12 +745,17 @@ TEST_P(CacheArrayOracle, MatchesNaiveReference)
     EXPECT_GT(dropped, 100u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Policies, CacheArrayOracle,
-    ::testing::Values(OracleCase{ReplKind::DRRIP, 1},
-                      OracleCase{ReplKind::DRRIP, 29},
-                      OracleCase{ReplKind::LRU, 5},
-                      OracleCase{ReplKind::SRRIP, 11}));
+// Test names print each case's raw bytes. A static array has its
+// padding zeroed, so the names stay the same from run to run.
+constexpr OracleCase kOracleCases[] = {
+    {ReplKind::DRRIP, 1},
+    {ReplKind::DRRIP, 29},
+    {ReplKind::LRU, 5},
+    {ReplKind::SRRIP, 11},
+};
+
+INSTANTIATE_TEST_SUITE_P(Policies, CacheArrayOracle,
+                         ::testing::ValuesIn(kOracleCases));
 
 } // namespace
 } // namespace jumanji

@@ -281,35 +281,6 @@ TEST(Orchestrator, EightJobsAreByteIdenticalAcrossWorkerCounts)
     EXPECT_EQ(perWorker, 8.0);
 }
 
-TEST(Orchestrator, ParallelSweepMatchesSerialSweepExactly)
-{
-    const std::vector<std::string> lcNames = {"xapian", "silo"};
-    const std::vector<LlcDesign> designs = {LlcDesign::Adaptive};
-
-    ExperimentHarness serialHarness(tinyConfig(42));
-    std::vector<MixResult> serialResults =
-        serialHarness.sweep(lcNames, 3, designs, LoadLevel::High);
-
-    ExperimentHarness parallelHarness(tinyConfig(42));
-    Orchestrator::Options opts;
-    opts.jobs = 4;
-    Orchestrator orch(opts);
-    std::vector<MixResult> parallelResults = driver::parallelSweep(
-        parallelHarness, lcNames, 3, designs, LoadLevel::High, orch);
-
-    EXPECT_EQ(fingerprintResults(serialResults),
-              fingerprintResults(parallelResults));
-
-    // The parallel path must also leave the harness in the same
-    // state a serial sweep would: calibrations installed for reuse.
-    for (const auto &name : lcNames) {
-        EXPECT_TRUE(parallelHarness.hasCalibration(name));
-        EXPECT_EQ(
-            parallelHarness.calibrationFor(name).deadline,
-            serialHarness.calibrationFor(name).deadline);
-    }
-}
-
 TEST(Orchestrator, CacheHitsOnSecondRunAndMissesAfterConfigEdit)
 {
     std::string dir = testing::TempDir() + "jumanji_cache_test";

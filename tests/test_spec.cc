@@ -27,6 +27,7 @@
 #include "src/sim/logging.hh"
 #include "src/system/config.hh"
 #include "src/system/harness.hh"
+#include "src/workloads/mixes.hh"
 
 namespace jumanji {
 namespace {
@@ -359,8 +360,10 @@ TEST(Spec, RunIsByteIdenticalToTheHandwrittenSweep)
 {
     ExperimentSpec spec = tinyFig13Spec();
 
-    // The handwritten side: a shared serial harness, one sweep per
-    // group — exactly the pre-spec bench structure.
+    // The handwritten side: an independent serial loop with the
+    // pre-spec bench structure — per-mix seeds, the salted mix RNG,
+    // each LC app calibrated lazily with the config of the first mix
+    // that contains it, and runCalibrated for every point.
     SystemConfig base = SystemConfig::benchScaled();
     base.llc.setsPerBank = 32;
     base.capacityScale = 0.0625;
@@ -368,12 +371,28 @@ TEST(Spec, RunIsByteIdenticalToTheHandwrittenSweep)
     base.warmupTicks = 100000;
     base.measureTicks = 200000;
     base.seed = 42;
-    ExperimentHarness harness(base);
+    LcCalibrationMap calibrated;
     std::vector<std::vector<MixResult>> perGroup;
     std::vector<MixResult> handwritten;
     for (const SpecGroup &group : spec.groups) {
-        std::vector<MixResult> results = harness.sweep(
-            group.lcNames, 2, spec.designs, LoadLevel::High);
+        std::vector<MixResult> results;
+        for (std::uint32_t m = 0; m < 2; m++) {
+            SystemConfig cfg = base;
+            cfg.seed = base.seed + m * 1000003ull;
+            Rng mixRng(cfg.seed ^ 0x5eedull);
+            WorkloadMix mix = makeMix(group.lcNames, 4, 4, mixRng);
+            LcCalibrationMap calibrations;
+            for (const VmSpec &vm : mix.vms) {
+                for (const std::string &lc : vm.lcApps) {
+                    if (calibrated.find(lc) == calibrated.end())
+                        calibrated[lc] =
+                            ExperimentHarness(cfg).calibrationFor(lc);
+                    calibrations[lc] = calibrated[lc];
+                }
+            }
+            results.push_back(ExperimentHarness::runCalibrated(
+                cfg, mix, spec.designs, LoadLevel::High, calibrations));
+        }
         for (const MixResult &r : results) handwritten.push_back(r);
         perGroup.push_back(std::move(results));
     }

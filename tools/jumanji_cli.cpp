@@ -8,16 +8,21 @@
  *                          ExperimentSpec JSON, see
  *                          examples/scenarios/ and docs/INTERNALS.md
  *                          §12) through the orchestrator and print
- *                          its report; --jobs/--cache-dir and the
- *                          observability exports apply. An invalid
- *                          scenario exits 2 with a "field: reason"
- *                          diagnostic on stderr.
+ *                          its report; --jobs/--cache-dir,
+ *                          --selfcheck, --bench-json and the
+ *                          observability exports apply. The grid
+ *                          flags below (--design ... --sweep) do not:
+ *                          the file defines the grid, so giving one
+ *                          exits 2. An invalid scenario exits 2 with
+ *                          a "field: reason" diagnostic on stderr.
  *     --scenario-check <file>
  *                          parse, validate, and expand a scenario
  *                          without simulating; prints the grid shape
  *                          and exits 0 iff the document is valid
  *     --design <name>      Static|Adaptive|VM-Part|Jigsaw|Jumanji|
- *                          Insecure|IdealBatch (default: all five main)
+ *                          Insecure|IdealBatch (default: all four
+ *                          main designs; Static always runs first as
+ *                          the normalization baseline)
  *     --lc <name|Mixed>    latency-critical app selection: a
  *                          TailBench-like app
  *                          (masstree|xapian|img-dnn|silo|moses), a
@@ -30,20 +35,21 @@
  *                          exit
  *     --load <low|high>    offered load (default high)
  *     --vms <n>            number of VMs (default 4)
- *     --batch <n>          batch apps per VM (default 4)
+ *     --batch <n>          batch apps per VM, 0..64 (default 4)
  *     --mixes <n>          random batch mixes (default 3)
- *     --seed <n>           base seed (default 1)
+ *     --seed <n>           base seed, 1..2^64-1 (default 1)
  *     --paper-scale        use the full Table II capacity/time scale
- *     --jobs <n>           worker threads (default $JUMANJI_JOBS or 1);
- *                          output is byte-identical for any job count
+ *     --jobs <n>           worker threads, 1..1024 (default
+ *                          $JUMANJI_JOBS or 1); output is
+ *                          byte-identical for any job count
  *     --cache-dir <dir>    on-disk result cache keyed by
  *                          Fingerprint(code version, config, mix)
  *                          (default $JUMANJI_CACHE_DIR; unset = off)
  *     --sweep              use the paper's standard sweep methodology
- *                          (ExperimentHarness::sweep: calibrations
- *                          shared across mixes, fixed 4 VM x 4 batch
- *                          mixes) instead of the default independent
- *                          per-mix calibration
+ *                          (each LC app calibrated once, with the
+ *                          config of the first mix that contains it,
+ *                          and shared across mixes) instead of the
+ *                          default independent per-mix calibration
  *     --selfcheck          run the experiment twice and compare stats
  *                          fingerprints (determinism self-check;
  *                          bypasses the result cache)
@@ -53,22 +59,17 @@
  *                          every run as one long-format CSV
  *     --trace-out <file>   write a Chrome trace-event JSON covering
  *                          all runs (chrome://tracing / Perfetto)
- *     --bench-json <file>  wall-clock perf harness: run the
- *                          fig13-shaped sweep (every LC app plus
- *                          Mixed, high and low load, --mixes mixes
- *                          each) with the result cache disabled, and
- *                          write a self-describing snapshot (schema
+ *     --bench-json <file>  wall-clock perf harness; requires
+ *                          --scenario. Times the scenario's grid with
+ *                          the result cache disabled and writes a
+ *                          self-describing snapshot (schema
  *                          jumanji-bench-v2: codeVersion, jobs,
  *                          mixes, seed, wall_seconds,
- *                          simulated_accesses, accesses_per_sec,
- *                          and a per-phase breakdown) as JSON;
- *                          tools/perf_history compares snapshots.
- *                          Combined with --scenario, the scenario's
- *                          grid is the timed workload instead (cache
- *                          still disabled; calibration is folded
- *                          into simulate_s because the phase split
- *                          lives inside driver::runSpec, where
- *                          wall-clock reads are banned)
+ *                          simulated_accesses, accesses_per_sec, and
+ *                          a phase split: calibrate_s is the shared
+ *                          calibrations, simulate_s the rest of the
+ *                          wall clock) as JSON; tools/perf_history
+ *                          compares snapshots
  *     --profile <file>     enable the host-side scope profiler
  *                          (src/sim/profiler.hh) and write its
  *                          aggregated JSON report (where the wall
@@ -84,12 +85,20 @@
  *                          accesses/s, ETA (default
  *                          $JUMANJI_HEARTBEAT_MS; 0 = off)
  *
+ * Integer flags must be a whole decimal number in their range;
+ * anything else (a sign, trailing junk, 0 for --seed) exits 2 with a
+ * message naming the flag.
+ *
+ * Without --scenario the flags build an ExperimentSpec (one LC group
+ * at one load; seed and mix count exactly as given, so JUMANJI_SEED
+ * and JUMANJI_MIXES do not apply, while JUMANJI_KV_LOAD_SCALE does)
+ * and run it like any scenario. It prints one row per design: tail
+ * ratio (mean/worst over LC apps), gmean batch weighted speedup vs.
+ * Static, and attackers/access.
+ *
  * None of the profiling/telemetry outputs feed back into results:
  * tables, fingerprints, and the result cache are byte-identical
  * with them on or off (docs/INTERNALS.md §13).
- *
- * Prints one row per design: tail ratio (mean/worst over LC apps),
- * gmean batch weighted speedup vs. Static, and attackers/access.
  *
  * With --selfcheck, instead prints the two FNV-1a fingerprints of the
  * full stats stream and exits 0 iff they match: reproducibility from
@@ -97,10 +106,11 @@
  * docs/INTERNALS.md).
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -258,138 +268,21 @@ writeTimelineCsv(std::ostream &os, const std::vector<MixResult> &results)
 }
 
 /**
- * --bench-json: end-to-end wall-clock measurement of the fig13-shaped
- * sweep (the project's heaviest standard workload). The result cache
- * is always disabled — a warm cache would time deserialization, not
- * simulation — and the calibration phase is included, matching what a
- * cold fig13_main_eval run pays. simulated_accesses is summed from
- * each run's stats dump (llc.hits + llc.misses), so the throughput
- * figure is comparable across code versions exactly when semantics
- * are unchanged; a semantic change shifts the access count and shows
- * up as more than a throughput delta.
+ * --bench-json: end-to-end wall-clock measurement of a scenario's
+ * expanded grid. The result cache is always disabled — a warm cache
+ * would time deserialization, not simulation. simulated_accesses is
+ * summed from each run's stats dump (llc.hits + llc.misses), so the
+ * throughput figure is comparable across code versions exactly when
+ * semantics are unchanged; a semantic change shifts the access count
+ * and shows up as more than a throughput delta. The shared
+ * calibrations run as their own phase, timed apart from the job run:
+ * calibrate_s is that phase and simulate_s the rest of the wall clock
+ * (expansion plus the job graph).
  *
  * The wall-clock read lives here and not in src/ deliberately: the
  * simulator itself must stay free of wall-clock dependence (the lint
  * pass enforces it), while the harness around it is the one place
  * where real time is the measurand.
- */
-int
-runBenchJson(const std::string &path, const SystemConfig &cfg,
-             std::uint32_t mixes, std::uint32_t jobs,
-             const driver::TelemetryOptions &telemetry)
-{
-    driver::Orchestrator::Options opts;
-    opts.jobs = jobs;
-    opts.telemetry = telemetry;
-    driver::Orchestrator orch(opts);
-
-    auto start = std::chrono::steady_clock::now();
-    auto secondsSince = [](std::chrono::steady_clock::time_point t0) {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-
-    ExperimentHarness harness(cfg);
-    {
-        std::vector<driver::CalibrationJob> plan;
-        for (const auto &name : allTailAppNames())
-            plan.push_back({name, harness.baseConfig()});
-        std::vector<LcCalibration> calibrations =
-            orch.runCalibrations(plan);
-        for (std::size_t i = 0; i < plan.size(); i++)
-            harness.setCalibration(plan[i].lcName, calibrations[i]);
-    }
-    const double calibrateSec = secondsSince(start);
-
-    std::vector<LlcDesign> designs = {
-        LlcDesign::Adaptive, LlcDesign::VMPart, LlcDesign::Jigsaw,
-        LlcDesign::Jumanji};
-
-    // The fig13 group structure: each LC app alone plus the Mixed
-    // selection, at high and low load, `mixes` mixes per group, with
-    // the same per-mix seeds and shared calibrations.
-    driver::JobGraph graph;
-    for (LoadLevel load : {LoadLevel::High, LoadLevel::Low}) {
-        std::vector<std::vector<std::string>> groups;
-        for (const auto &lc : allTailAppNames())
-            groups.push_back({lc});
-        groups.push_back(allTailAppNames());
-        for (const auto &lcNames : groups) {
-            for (std::uint32_t m = 0; m < mixes; m++) {
-                driver::SweepJob job;
-                job.label = lcNames.size() == 1 ? lcNames[0] : "Mixed";
-                job.label += std::string("/") +
-                             (load == LoadLevel::High ? "high" : "low") +
-                             "/mix" + std::to_string(m);
-                job.config = harness.baseConfig();
-                job.config.seed =
-                    harness.baseConfig().seed + m * 1000003ull;
-                Rng mixRng(job.config.seed ^ 0x5eedull);
-                job.mix = makeMix(lcNames, 4, 4, mixRng);
-                job.designs = designs;
-                job.load = load;
-                job.selfCalibrate = false;
-                job.calibrations = harness.calibrationsFor(job.mix);
-                graph.add(std::move(job));
-            }
-        }
-    }
-    std::vector<driver::JobOutcome> outcomes = orch.run(graph);
-    const double simulateSec = secondsSince(start) - calibrateSec;
-
-    double accesses = 0.0;
-    for (driver::JobId id = 0; id < outcomes.size(); id++) {
-        if (!outcomes[id].ok)
-            fatal("bench job " + std::to_string(id) +
-                  " failed: " + outcomes[id].error);
-        for (const DesignResult &d : outcomes[id].result.designs)
-            accesses += d.run.stat("llc.hits") + d.run.stat("llc.misses");
-    }
-
-    double wall = secondsSince(start);
-    double rate = wall > 0.0 ? accesses / wall : 0.0;
-
-    std::ofstream os(path);
-    if (!os) fatal("cannot open " + path);
-    // Self-describing snapshot (schema jumanji-bench-v2): jobs,
-    // mixes, seed, and codeVersion pin what was measured, so
-    // tools/perf_history can refuse to compare unlike work instead
-    // of reporting a bogus throughput delta. CI pins
-    // simulated_accesses only — the v1 comparison stays valid.
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"schema\": \"jumanji-bench-v2\",\n"
-                  " \"codeVersion\": \"%s\",\n"
-                  " \"jobs\": %u,\n"
-                  " \"mixes\": %u,\n"
-                  " \"seed\": %llu,\n"
-                  " \"wall_seconds\": %.3f,\n"
-                  " \"simulated_accesses\": %.0f,\n"
-                  " \"accesses_per_sec\": %.0f,\n"
-                  " \"phases\": {\"calibrate_s\": %.3f, "
-                  "\"simulate_s\": %.3f, \"report_s\": %.3f}}\n",
-                  driver::kCodeVersion, jobs, mixes,
-                  static_cast<unsigned long long>(cfg.seed), wall,
-                  accesses, rate, calibrateSec, simulateSec,
-                  wall - calibrateSec - simulateSec);
-    os << buf;
-
-    std::printf("bench: %.0f accesses in %.3f s = %.0f accesses/s "
-                "(%u jobs) -> %s\n",
-                accesses, wall, rate, jobs, path.c_str());
-    return 0;
-}
-
-/**
- * --scenario + --bench-json: the scenario's expanded grid is the
- * timed workload. Same discipline as runBenchJson — the result cache
- * is always disabled so a warm cache cannot masquerade as a speedup,
- * and simulated_accesses is summed from the stats stream so a
- * semantic change is distinguishable from a throughput change. The
- * shared calibrations run as their own phase, timed apart from the
- * job run: calibrate_s is that phase and simulate_s the rest of the
- * wall clock (expansion plus the job graph).
  */
 int
 runScenarioBenchJson(const std::string &path,
@@ -475,6 +368,64 @@ parseDesign(const std::string &name)
     fatal("unknown design: " + name);
 }
 
+/**
+ * Parses the value of integer flag @p flag as a whole decimal string
+ * in [@p lo, @p hi] — no sign, no trailing junk, no silent wrap (the
+ * driver::seedFromEnv policy). Anything else is fatal and names the
+ * flag.
+ */
+std::uint64_t
+parseCount(const std::string &flag, const std::string &text,
+           std::uint64_t lo, std::uint64_t hi)
+{
+    errno = 0;
+    char *end = nullptr;
+    std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
+    bool digitsOnly = !text.empty() &&
+                      std::isdigit(static_cast<unsigned char>(text[0])) &&
+                      *end == '\0';
+    if (!digitsOnly || errno == ERANGE || v < lo || v > hi)
+        fatal(flag + ": expected an integer in [" + std::to_string(lo) +
+              ", " + std::to_string(hi) + "], got \"" + text + "\"");
+    return v;
+}
+
+/** Flags that shape the ad-hoc grid; a scenario file defines its own. */
+bool
+isGridFlag(const std::string &arg)
+{
+    for (const char *flag :
+         {"--design", "--lc", "--load", "--vms", "--batch", "--mixes",
+          "--seed", "--paper-scale", "--sweep"})
+        if (arg == flag) return true;
+    return false;
+}
+
+/**
+ * The ad-hoc grid before any flag is applied: 3 salted mixes of
+ * xapian + 4 VMs x 4 batch apps at high load, seed 1, no env
+ * overrides of seed or mix count. Every mix is an independent job
+ * that calibrates from its own config; --sweep shares calibrations
+ * across mixes instead. designs holds Static only: the --design
+ * list (or the four main designs) follows it.
+ */
+driver::ExperimentSpec
+adhocSpec()
+{
+    driver::ExperimentSpec spec;
+    spec.name = "cli";
+    spec.seed = {false, 1};
+    spec.mixes = {3, false, 4, 4, true};
+    spec.designs = {LlcDesign::Static};
+    spec.groups = {{"xapian", {"xapian"}}};
+    spec.calibration = driver::CalibrationMode::PerJob;
+    spec.output.columns = {{"tailMean", "tail(mean)"},
+                           {"tailWorst", "tail(worst)"},
+                           {"batchWS", "batchWS"},
+                           {"attackers", "attackers"}};
+    return spec;
+}
+
 } // namespace
 
 int
@@ -482,15 +433,13 @@ main(int argc, char **argv)
 {
     setQuiet(true);
 
-    std::vector<LlcDesign> designs;
-    std::vector<std::string> lcNames = {"xapian"};
-    LoadLevel load = LoadLevel::High;
-    std::uint32_t vms = 4, batchPerVm = 4, mixes = 3;
-    std::uint64_t seed = 1;
+    driver::ExperimentSpec adhoc = adhocSpec();
+    bool designGiven = false;
+    // The first ad-hoc grid flag seen: next to --scenario it would be
+    // silently ignored, so it is refused instead.
+    std::string gridFlag;
     std::uint32_t jobs = driver::jobCountFromEnv(1);
     std::string cacheDir = driver::cacheDirFromEnv();
-    bool paperScale = false;
-    bool sweepMode = false;
     bool selfcheck = false;
     std::string statsJsonPath, timelineCsvPath, traceOutPath;
     std::string benchJsonPath;
@@ -499,54 +448,61 @@ main(int argc, char **argv)
     driver::TelemetryOptions telemetry =
         driver::telemetryOptionsFromEnv();
 
+    const std::uint64_t u32Max = 0xffffffffull;
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc) usage(argv[0]);
             return argv[++i];
         };
+        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            return parseCount(arg, next(), lo, hi);
+        };
+        if (gridFlag.empty() && isGridFlag(arg)) gridFlag = arg;
         try {
             if (arg == "--scenario") {
                 scenarioPath = next();
             } else if (arg == "--scenario-check") {
                 scenarioCheckPath = next();
             } else if (arg == "--design") {
-                designs.push_back(parseDesign(next()));
+                LlcDesign design = parseDesign(next());
+                designGiven = true;
+                if (design != LlcDesign::Static)
+                    adhoc.designs.push_back(design);
             } else if (arg == "--lc") {
                 std::string name = next();
                 if (name == "Mixed") {
-                    lcNames = allTailAppNames();
+                    adhoc.groups = {{name, allTailAppNames()}};
                 } else {
                     lcAppParams(name); // validates (tail or KV)
-                    lcNames = {name};
+                    adhoc.groups = {{name, {name}}};
                 }
             } else if (arg == "--list-apps") {
                 return listApps();
             } else if (arg == "--load") {
                 std::string level = next();
-                if (level == "low") load = LoadLevel::Low;
-                else if (level == "high") load = LoadLevel::High;
+                if (level == "low") adhoc.loads = {LoadLevel::Low};
+                else if (level == "high") adhoc.loads = {LoadLevel::High};
                 else usage(argv[0]);
             } else if (arg == "--vms") {
-                vms = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                adhoc.mixes.vms =
+                    static_cast<std::uint32_t>(count(1, u32Max));
             } else if (arg == "--batch") {
-                batchPerVm = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                adhoc.mixes.batchPerVm =
+                    static_cast<std::uint32_t>(count(0, 64));
             } else if (arg == "--mixes") {
-                mixes = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                adhoc.mixes.count =
+                    static_cast<std::uint32_t>(count(1, u32Max));
             } else if (arg == "--seed") {
-                seed = std::strtoull(next().c_str(), nullptr, 10);
+                adhoc.seed.fallback = count(1, ~0ull);
             } else if (arg == "--paper-scale") {
-                paperScale = true;
+                adhoc.preset = "paperDefault";
             } else if (arg == "--jobs") {
-                jobs = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                jobs = static_cast<std::uint32_t>(count(1, 1024));
             } else if (arg == "--cache-dir") {
                 cacheDir = next();
             } else if (arg == "--sweep") {
-                sweepMode = true;
+                adhoc.calibration = driver::CalibrationMode::Shared;
             } else if (arg == "--selfcheck") {
                 selfcheck = true;
             } else if (arg == "--stats-json") {
@@ -562,8 +518,8 @@ main(int argc, char **argv)
             } else if (arg == "--events-out") {
                 telemetry.eventsPath = next();
             } else if (arg == "--heartbeat-ms") {
-                telemetry.heartbeatMs = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                telemetry.heartbeatMs =
+                    static_cast<std::uint32_t>(count(0, u32Max));
             } else if (arg == "--help" || arg == "-h") {
                 usage(argv[0], 0);
             } else {
@@ -576,31 +532,28 @@ main(int argc, char **argv)
         }
     }
 
-    if (vms == 0 || batchPerVm > 64 || mixes == 0) {
-        std::fprintf(stderr, "error: --vms and --mixes must be >= 1, "
-                             "--batch <= 64\n");
+    const bool fromFile = !scenarioPath.empty();
+    if ((fromFile || !scenarioCheckPath.empty()) && !gridFlag.empty()) {
+        std::fprintf(stderr,
+                     "error: %s does not apply with --scenario or "
+                     "--scenario-check (the scenario file defines the "
+                     "grid)\n",
+                     gridFlag.c_str());
         return 2;
     }
-    if (jobs == 0) {
-        std::fprintf(stderr, "error: --jobs must be >= 1\n");
+    if (!benchJsonPath.empty() && !fromFile) {
+        std::fprintf(stderr,
+                     "error: --bench-json requires --scenario (e.g. "
+                     "examples/scenarios/fig13_small.json)\n");
         return 2;
     }
     // Arm the profiler before any simulation runs. Without
     // --profile every JUMANJI_PROF_SCOPE stays a single disarmed
     // branch (<2% on the fig13-small bench, like tracing).
     if (!profilePath.empty()) prof::setProfilingEnabled(true);
-    if (sweepMode && (vms != 4 || batchPerVm != 4)) {
-        std::fprintf(stderr,
-                     "error: --sweep uses the paper's fixed 4 VM x 4 "
-                     "batch mixes; --vms/--batch do not apply\n");
-        return 2;
-    }
 
-    // Scenario paths first: the document supplies what the ad-hoc
-    // flags would (designs, loads, mixes, seed policy); --jobs,
-    // --cache-dir, and the observability exports still apply. A
-    // malformed document exits 2 with its "field: reason" diagnostic,
-    // like any other bad usage.
+    // A malformed scenario document exits 2 with its "field: reason"
+    // diagnostic, like any other bad usage.
     if (!scenarioCheckPath.empty()) {
         try {
             driver::ExperimentSpec spec =
@@ -620,8 +573,11 @@ main(int argc, char **argv)
         }
         return 0;
     }
-    if (!scenarioPath.empty()) {
-        driver::ExperimentSpec spec;
+
+    // One grid, from the file or from the flags; everything below
+    // runs the same way for both.
+    driver::ExperimentSpec spec = adhoc;
+    if (fromFile) {
         try {
             spec = loadScenario(scenarioPath);
         } catch (const std::exception &e) {
@@ -629,67 +585,23 @@ main(int argc, char **argv)
                          e.what());
             return 2;
         }
-        try {
-            if (!benchJsonPath.empty()) {
-                int rc = runScenarioBenchJson(benchJsonPath, spec,
-                                              jobs, telemetry);
-                writeProfileJson(profilePath);
-                return rc;
-            }
-            std::unique_ptr<Tracer> tracer;
-            if (!traceOutPath.empty())
-                tracer = std::make_unique<Tracer>();
-            driver::Orchestrator::Options orchOpts;
-            orchOpts.jobs = jobs;
-            orchOpts.cacheDir = cacheDir;
-            orchOpts.tracer = tracer.get();
-            orchOpts.telemetry = telemetry;
-            driver::Orchestrator orchestrator(orchOpts);
-
-            driver::SpecRun run = driver::runSpec(spec, orchestrator);
-            std::fputs(driver::renderSpec(spec, run).c_str(), stdout);
-
-            if (!statsJsonPath.empty()) {
-                std::ofstream os(statsJsonPath);
-                if (!os) fatal("cannot open " + statsJsonPath);
-                writeStatsJson(os, run.results);
-            }
-            if (!timelineCsvPath.empty()) {
-                std::ofstream os(timelineCsvPath);
-                if (!os) fatal("cannot open " + timelineCsvPath);
-                writeTimelineCsv(os, run.results);
-            }
-            if (tracer != nullptr) {
-                std::ofstream os(traceOutPath);
-                if (!os) fatal("cannot open " + traceOutPath);
-                tracer->writeTo(os);
-            }
-            writeProfileJson(profilePath);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 1;
+    } else {
+        if (!designGiven) {
+            for (LlcDesign d : {LlcDesign::Adaptive, LlcDesign::VMPart,
+                                LlcDesign::Jigsaw, LlcDesign::Jumanji})
+                spec.designs.push_back(d);
         }
-        return 0;
-    }
-
-    if (designs.empty()) {
-        designs = {LlcDesign::Adaptive, LlcDesign::VMPart,
-                   LlcDesign::Jigsaw, LlcDesign::Jumanji};
-    }
-
-    SystemConfig cfg = paperScale ? SystemConfig::paperDefault()
-                                  : SystemConfig::benchScaled();
-    cfg.seed = seed;
-    if (paperScale) {
-        std::fprintf(stderr,
-                     "note: --paper-scale simulates Table II time "
-                     "constants (hours of CPU time per run).\n");
+        if (spec.preset == "paperDefault") {
+            std::fprintf(stderr,
+                         "note: --paper-scale simulates Table II time "
+                         "constants (hours of CPU time per run).\n");
+        }
     }
 
     try {
         if (!benchJsonPath.empty()) {
-            int rc =
-                runBenchJson(benchJsonPath, cfg, mixes, jobs, telemetry);
+            int rc = runScenarioBenchJson(benchJsonPath, spec, jobs,
+                                          telemetry);
             writeProfileJson(profilePath);
             return rc;
         }
@@ -699,6 +611,12 @@ main(int argc, char **argv)
         // the same whatever the worker count (plus a schedule lane).
         std::unique_ptr<Tracer> tracer;
         if (!traceOutPath.empty()) tracer = std::make_unique<Tracer>();
+        auto writeTrace = [&]() {
+            if (tracer == nullptr) return;
+            std::ofstream os(traceOutPath);
+            if (!os) fatal("cannot open " + traceOutPath);
+            tracer->writeTo(os);
+        };
 
         driver::Orchestrator::Options orchOpts;
         orchOpts.jobs = jobs;
@@ -709,56 +627,15 @@ main(int argc, char **argv)
         orchOpts.telemetry = telemetry;
         driver::Orchestrator orchestrator(orchOpts);
 
-        auto runExperiment = [&]() {
-            if (sweepMode) {
-                ExperimentHarness harness(cfg);
-                return driver::parallelSweep(harness, lcNames, mixes,
-                                             designs, load,
-                                             orchestrator);
-            }
-            // Default mode: every mix is an independent job that
-            // calibrates from its own config — the same seeds, mixes,
-            // and calibrations as one local harness per mix.
-            driver::JobGraph graph;
-            for (std::uint32_t m = 0; m < mixes; m++) {
-                driver::SweepJob job;
-                job.label = "mix" + std::to_string(m);
-                job.config = cfg;
-                job.config.seed = seed + m * 1000003ull;
-                job.config.traceLabel = "mix" + std::to_string(m);
-                Rng rng(job.config.seed ^ 0x5eed);
-                job.mix = makeMix(lcNames, vms, batchPerVm, rng);
-                job.designs = designs;
-                job.load = load;
-                job.selfCalibrate = true;
-                graph.add(std::move(job));
-            }
-            std::vector<driver::JobOutcome> outcomes =
-                orchestrator.run(graph);
-            std::vector<MixResult> results;
-            results.reserve(outcomes.size());
-            for (driver::JobId id = 0; id < outcomes.size(); id++) {
-                if (!outcomes[id].ok)
-                    fatal("mix " + std::to_string(id) +
-                          " failed: " + outcomes[id].error);
-                results.push_back(std::move(outcomes[id].result));
-            }
-            return results;
-        };
-
-        auto writeTrace = [&]() {
-            if (tracer == nullptr) return;
-            std::ofstream os(traceOutPath);
-            if (!os) fatal("cannot open " + traceOutPath);
-            tracer->writeTo(os);
-        };
+        driver::SpecRun run = driver::runSpec(spec, orchestrator);
 
         if (selfcheck) {
             // Two independent runs of the identical experiment; the
             // stats stream must hash identically or the simulator
             // depends on something outside (seed, config).
-            std::uint64_t first = fingerprintResults(runExperiment());
-            std::uint64_t second = fingerprintResults(runExperiment());
+            std::uint64_t first = fingerprintResults(run.results);
+            std::uint64_t second = fingerprintResults(
+                driver::runSpec(spec, orchestrator).results);
             std::printf("selfcheck: run1=%016llx run2=%016llx -> %s\n",
                         static_cast<unsigned long long>(first),
                         static_cast<unsigned long long>(second),
@@ -768,40 +645,24 @@ main(int argc, char **argv)
             return first == second ? 0 : 1;
         }
 
-        std::vector<MixResult> results = runExperiment();
+        // A scenario prints its full report; the ad-hoc grid prints
+        // only the table (one row per design).
+        std::string report = fromFile
+                                 ? driver::renderSpec(spec, run)
+                                 : driver::renderSpecTable(spec, run);
+        std::fputs(report.c_str(), stdout);
 
         if (!statsJsonPath.empty()) {
             std::ofstream os(statsJsonPath);
             if (!os) fatal("cannot open " + statsJsonPath);
-            writeStatsJson(os, results);
+            writeStatsJson(os, run.results);
         }
         if (!timelineCsvPath.empty()) {
             std::ofstream os(timelineCsvPath);
             if (!os) fatal("cannot open " + timelineCsvPath);
-            writeTimelineCsv(os, results);
+            writeTimelineCsv(os, run.results);
         }
         writeTrace();
-
-        auto speedups = gmeanSpeedups(results);
-        auto vuln = meanVulnerability(results);
-
-        std::printf("%-20s %12s %12s %12s %12s\n", "design",
-                    "tail(mean)", "tail(worst)", "batchWS",
-                    "attackers");
-        std::vector<LlcDesign> all = {LlcDesign::Static};
-        for (LlcDesign d : designs)
-            if (d != LlcDesign::Static) all.push_back(d);
-        for (LlcDesign d : all) {
-            double meanTail = 0.0, worst = 0.0;
-            for (const auto &mix : results) {
-                meanTail += mix.of(d).meanTailRatio;
-                worst = std::max(worst, mix.of(d).tailRatio);
-            }
-            meanTail /= static_cast<double>(results.size());
-            std::printf("%-20s %12.3f %12.3f %12.3f %12.3f\n",
-                        llcDesignName(d), meanTail, worst, speedups[d],
-                        vuln[d]);
-        }
         writeProfileJson(profilePath);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
