@@ -5,11 +5,10 @@
  * Every binary prints the rows/series of one table or figure from
  * the paper. Scale knobs:
  *   JUMANJI_MIXES=<n>      random batch mixes per configuration
- *   JUMANJI_SEED=<n>       base seed
- *   JUMANJI_JOBS=<n>       driver worker threads (default 1; output
- *                          is byte-identical for any value)
+ *   JUMANJI_SEED=<n>       base seed, 1..2^64-1
+ *   JUMANJI_JOBS=<n>       driver worker threads, 1..1024 (default 1;
+ *                          output is byte-identical for any value)
  *   JUMANJI_CACHE_DIR=<d>  on-disk result cache (default: off)
- *   JUMANJI_SUMMARY=<f>    append one driver summary line per batch
  *   JUMANJI_EVENTS=<f>     append one JSONL telemetry event per
  *                          calibration/job/run (default: off)
  *   JUMANJI_HEARTBEAT_MS=<n>  stderr progress heartbeat period for
@@ -17,13 +16,14 @@
  *   JUMANJI_KV_LOAD_SCALE=<x>  scales the offered load of every KV
  *                          app in a scenario, range (0, 1e3]
  *                          (default: 1.0; see driver::kvLoadScaleFromEnv)
+ * An integer knob that is not a whole number in its range warns
+ * once and falls back to its default (jumanji::envCount).
  */
 
 #ifndef JUMANJI_BENCH_BENCH_COMMON_HH
 #define JUMANJI_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -102,8 +102,6 @@ orchestrator()
         driver::Orchestrator::Options opts;
         opts.jobs = driver::jobCountFromEnv(1);
         opts.cacheDir = driver::cacheDirFromEnv();
-        const char *summary = std::getenv("JUMANJI_SUMMARY");
-        if (summary != nullptr) opts.summaryPath = summary;
         opts.telemetry = driver::telemetryOptionsFromEnv();
         return opts;
     }());

@@ -1,9 +1,7 @@
 #include "src/driver/orchestrator.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <optional>
 #include <utility>
 
@@ -199,7 +197,6 @@ Orchestrator::run(const JobGraph &graph)
     telemetry_.runEvent("jobs", n, simulated, cached, failed,
                         options_.jobs, runEnd - runStart,
                         runEnd - mergeStart);
-    writeSummary(n, simulated, cached, failed, runEnd - runStart);
     return outcomes;
 }
 
@@ -271,36 +268,11 @@ Orchestrator::runCalibrations(const std::vector<CalibrationJob> &requests)
     return results;
 }
 
-void
-Orchestrator::writeSummary(std::uint64_t total, std::uint64_t simulated,
-                           std::uint64_t cached, std::uint64_t failed,
-                           double wallSec) const
-{
-    if (options_.summaryPath.empty()) return;
-    std::ofstream out(options_.summaryPath, std::ios::app);
-    if (!out) return;
-    // The two trailing fields are wall-clock telemetry; they are
-    // appended last so grep checks over the deterministic count
-    // fields keep matching.
-    char tail[64];
-    std::snprintf(tail, sizeof(tail), " hitrate=%.2f wall=%.3f",
-                  total > 0 ? static_cast<double>(cached) /
-                                  static_cast<double>(total)
-                            : 0.0,
-                  wallSec);
-    out << "jobs=" << total << " simulated=" << simulated
-        << " cached=" << cached << " failed=" << failed
-        << " workers=" << options_.jobs << tail << "\n";
-}
-
 std::uint32_t
 jobCountFromEnv(std::uint32_t fallback)
 {
-    const char *env = std::getenv("JUMANJI_JOBS");
-    if (env == nullptr) return fallback;
-    long value = std::strtol(env, nullptr, 10);
-    if (value <= 0) return fallback;
-    return static_cast<std::uint32_t>(value);
+    return static_cast<std::uint32_t>(
+        envCount("JUMANJI_JOBS", 1, 1024, fallback));
 }
 
 std::string

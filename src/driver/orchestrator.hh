@@ -63,15 +63,6 @@ class Orchestrator
          */
         Tracer *tracer = nullptr;
         /**
-         * When non-empty, run() appends one line per invocation:
-         * "jobs=<total> simulated=<n> cached=<n> failed=<n>
-         * workers=<n> hitrate=<cached/total> wall=<seconds>". CI's
-         * warm-cache check greps the count fields; the two trailing
-         * telemetry fields are wall-clock and excluded from any
-         * determinism comparison.
-         */
-        std::string summaryPath;
-        /**
          * Event log + heartbeat knobs (src/driver/telemetry.hh).
          * Both off by default; neither affects results.
          */
@@ -122,15 +113,12 @@ class Orchestrator
     std::uint64_t peakQueueDepth_ = 0;
     /** Jobs run per worker; slot w written only by worker w. */
     std::vector<std::uint64_t> workerJobs_;
-
-    void writeSummary(std::uint64_t total, std::uint64_t simulated,
-                      std::uint64_t cached, std::uint64_t failed,
-                      double wallSec) const;
 };
 
 /**
- * Worker count for tools/benches: JUMANJI_JOBS when set and positive,
- * else @p fallback.
+ * Worker count for tools/benches: JUMANJI_JOBS when it is a whole
+ * number in [1, 1024] (the --jobs range), else @p fallback; a
+ * set-but-invalid value warns once (jumanji::envCount).
  */
 std::uint32_t jobCountFromEnv(std::uint32_t fallback);
 

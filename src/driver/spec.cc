@@ -374,21 +374,7 @@ renderRow(std::string &out, const SpecOutput &output,
 std::uint64_t
 seedFromEnv(std::uint64_t fallback)
 {
-    const char *env = std::getenv("JUMANJI_SEED");
-    if (env == nullptr) return fallback;
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(env, &end, 10);
-    if (v != 0 && end != nullptr && *end == '\0') return v;
-    // Warn once per process: a malformed seed must not silently run
-    // as the fallback and pose as a baseline with that seed.
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        warn("JUMANJI_SEED=\"" + std::string(env) +
-             "\" is not a seed in [1, 2^64-1]; using fallback " +
-             std::to_string(fallback));
-    }
-    return fallback;
+    return envCount("JUMANJI_SEED", 1, ~0ull, fallback);
 }
 
 double
@@ -717,14 +703,14 @@ expandSpec(const ExperimentSpec &spec)
     return plan;
 }
 
-SpecRun
-runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator)
-{
-    SpecPlan plan = expandSpec(spec);
-    resolveCalibrations(spec, plan, orchestrator);
-    return runPlan(std::move(plan), orchestrator);
-}
+namespace {
 
+/**
+ * For CalibrationMode::Shared, runs @p plan's calibration requests
+ * through @p orchestrator and hands every job the calibrations of its
+ * LC apps. A no-op in the other modes, where jobs calibrate
+ * themselves.
+ */
 void
 resolveCalibrations(const ExperimentSpec &spec, SpecPlan &plan,
                     Orchestrator &orchestrator)
@@ -759,11 +745,14 @@ resolveCalibrations(const ExperimentSpec &spec, SpecPlan &plan,
     }
 }
 
+} // namespace
+
 SpecRun
-runPlan(SpecPlan plan, Orchestrator &orchestrator)
+runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator)
 {
     SpecRun run;
-    run.plan = std::move(plan);
+    run.plan = expandSpec(spec);
+    resolveCalibrations(spec, run.plan, orchestrator);
     std::vector<JobOutcome> outcomes =
         orchestrator.run(run.plan.graph);
     run.results.reserve(outcomes.size());

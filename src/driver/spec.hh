@@ -224,26 +224,9 @@ struct SpecRun
  * Expands @p spec, resolves shared calibrations through
  * @p orchestrator, runs the JobGraph, and returns results in job
  * order. Throws FatalError if any job fails — a figure with silently
- * missing points would be worse than no figure. Equivalent to
- * expandSpec, then resolveCalibrations, then runPlan; callers that
- * time calibration apart from the job run call those three.
+ * missing points would be worse than no figure.
  */
 SpecRun runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator);
-
-/**
- * For CalibrationMode::Shared, runs @p plan's calibration requests
- * through @p orchestrator and hands every job the calibrations of its
- * LC apps. A no-op in the other modes, where jobs calibrate
- * themselves.
- */
-void resolveCalibrations(const ExperimentSpec &spec, SpecPlan &plan,
-                         Orchestrator &orchestrator);
-
-/**
- * Runs @p plan's JobGraph (calibrations already resolved) and returns
- * results in job order. Throws FatalError if any job fails.
- */
-SpecRun runPlan(SpecPlan plan, Orchestrator &orchestrator);
 
 /**
  * Renders the result table(s) — the section headings, column
@@ -260,10 +243,10 @@ std::string renderSpec(const ExperimentSpec &spec, const SpecRun &run);
 /**
  * JUMANJI_SEED override, else @p fallback. Accepted range is
  * [1, 2^64-1]: the full uint64 range except 0, which is reserved as
- * "unset" (and strtoull's error value). A set-but-ignored value —
- * empty, unparseable, trailing junk, or 0 — warns once per process
- * via src/sim/logging and falls back, so a typo'd seed cannot
- * silently masquerade as a clean baseline run.
+ * "unset". A set-but-ignored value — empty, signed, unparseable,
+ * trailing junk, or 0 — warns once per process (jumanji::envCount)
+ * and falls back, so a typo'd seed cannot silently masquerade as a
+ * clean baseline run.
  */
 std::uint64_t seedFromEnv(std::uint64_t fallback = 1);
 

@@ -62,9 +62,9 @@ struct TelemetryOptions
 
 /**
  * TelemetryOptions from $JUMANJI_EVENTS and $JUMANJI_HEARTBEAT_MS.
- * A malformed heartbeat value (not a whole number of ms >= 0) warns
- * once per process via logging and leaves the heartbeat off, like
- * driver::seedFromEnv.
+ * A malformed heartbeat value (not a whole number of ms that fits
+ * 32 bits) warns once per process and leaves the heartbeat off
+ * (jumanji::envCount).
  */
 TelemetryOptions telemetryOptionsFromEnv();
 

@@ -8,6 +8,7 @@
 #ifndef JUMANJI_SIM_LOGGING_HH
 #define JUMANJI_SIM_LOGGING_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -43,6 +44,24 @@ void inform(const std::string &msg);
 
 /** Globally silences warn()/inform() (used by tests). */
 void setQuiet(bool quiet);
+
+/**
+ * Parses @p text as a whole decimal number in [@p lo, @p hi]: digits
+ * only (no sign, blank or trailing junk) and no silent wrap. Returns
+ * false, leaving @p out untouched, on anything else.
+ */
+bool parseWholeDecimal(const std::string &text, std::uint64_t lo,
+                       std::uint64_t hi, std::uint64_t &out);
+
+/**
+ * Integer environment knob: $@p name when it passes
+ * parseWholeDecimal in [@p lo, @p hi], else @p fallback. A
+ * set-but-invalid value (empty, junk, out of range) warns once per
+ * variable per process and falls back, so a typo cannot silently
+ * pose as a deliberate setting.
+ */
+std::uint64_t envCount(const char *name, std::uint64_t lo,
+                       std::uint64_t hi, std::uint64_t fallback);
 
 } // namespace jumanji
 

@@ -1,7 +1,5 @@
 #include "src/system/harness.hh"
 
-#include <cstdlib>
-
 #include "src/sim/logging.hh"
 #include "src/sim/profiler.hh"
 
@@ -23,11 +21,8 @@ ExperimentHarness::ExperimentHarness(const SystemConfig &base)
 std::uint32_t
 ExperimentHarness::mixCountFromEnv(std::uint32_t fallback)
 {
-    const char *env = std::getenv("JUMANJI_MIXES");
-    if (env == nullptr) return fallback;
-    long value = std::strtol(env, nullptr, 10);
-    if (value <= 0) return fallback;
-    return static_cast<std::uint32_t>(value);
+    return static_cast<std::uint32_t>(
+        envCount("JUMANJI_MIXES", 1, 0xffffffffull, fallback));
 }
 
 const LcCalibration &
@@ -177,20 +172,6 @@ gmeanSpeedups(const std::vector<MixResult> &results)
     std::map<LlcDesign, double> out;
     for (const auto &[design, values] : byDesign)
         out[design] = gmean(values);
-    return out;
-}
-
-std::map<LlcDesign, double>
-worstTailRatios(const std::vector<MixResult> &results)
-{
-    std::map<LlcDesign, double> out;
-    for (const auto &mix : results) {
-        for (const auto &d : mix.designs) {
-            auto it = out.find(d.design);
-            if (it == out.end() || d.tailRatio > it->second)
-                out[d.design] = d.tailRatio;
-        }
-    }
     return out;
 }
 

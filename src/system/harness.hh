@@ -85,7 +85,11 @@ class ExperimentHarness
                                    LoadLevel load,
                                    const LcCalibrationMap &calibrations);
 
-    /** Env-var override: JUMANJI_MIXES trims mix counts for CI. */
+    /**
+     * Env-var override: JUMANJI_MIXES trims mix counts for CI. A
+     * value that is not a whole number in [1, 2^32-1] warns once and
+     * falls back (jumanji::envCount).
+     */
     static std::uint32_t mixCountFromEnv(std::uint32_t fallback);
 
   private:
@@ -96,10 +100,6 @@ class ExperimentHarness
 /** Aggregates gmean batch speedups per design across mixes. */
 std::map<LlcDesign, double>
 gmeanSpeedups(const std::vector<MixResult> &results);
-
-/** Aggregates the worst tail ratio per design across mixes. */
-std::map<LlcDesign, double>
-worstTailRatios(const std::vector<MixResult> &results);
 
 /** Aggregates mean attackers-per-access per design across mixes. */
 std::map<LlcDesign, double>

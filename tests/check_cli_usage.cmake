@@ -1,7 +1,7 @@
 # Bad command lines must be refused before anything runs: exit 2 and
 # name the offending flag on stderr. Covers integer flags that are
 # not a whole number in range, grid flags that a scenario file would
-# silently override, and --bench-json without --scenario.
+# silently override, and unknown flags.
 #
 #   cmake -DCLI=<jumanji_cli> -DSCENARIO=<json> -P this
 function(expect_refused flag)
@@ -45,5 +45,5 @@ expect_refused(--paper-scale --scenario ${SCENARIO} --paper-scale)
 expect_refused(--sweep --sweep --scenario ${SCENARIO})
 expect_refused(--lc --lc silo --scenario-check ${SCENARIO})
 
-# Timing is defined over a scenario's grid only.
-expect_refused(--bench-json --bench-json unused.json)
+# Unknown flags are named, not skipped.
+expect_refused(--frobnicate --frobnicate)

@@ -281,15 +281,30 @@ TEST(Orchestrator, EightJobsAreByteIdenticalAcrossWorkerCounts)
     EXPECT_EQ(perWorker, 8.0);
 }
 
+/** Parses a JSONL event log into one JsonValue per line. */
+std::vector<JsonValue>
+readEvents(const std::string &path)
+{
+    std::ifstream is(path);
+    EXPECT_TRUE(is.good()) << path;
+    std::vector<JsonValue> events;
+    std::string line;
+    while (std::getline(is, line))
+        if (!line.empty())
+            events.push_back(JsonValue::parse(line, path));
+    return events;
+}
+
 TEST(Orchestrator, CacheHitsOnSecondRunAndMissesAfterConfigEdit)
 {
     std::string dir = testing::TempDir() + "jumanji_cache_test";
     std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
 
     Orchestrator::Options opts;
     opts.jobs = 2;
     opts.cacheDir = dir;
-    opts.summaryPath = dir + "/summary.txt";
+    opts.telemetry.eventsPath = dir + "/events.jsonl";
 
     std::uint64_t coldFp = 0;
     {
@@ -330,26 +345,31 @@ TEST(Orchestrator, CacheHitsOnSecondRunAndMissesAfterConfigEdit)
             invalidated.stats().value("driver.jobs.simulated"), 8.0);
     }
 
-    // The summary file recorded all three phases, in order. The
-    // counters are exact; the trailing wall= field is host time, so
-    // only its presence is checked.
-    const auto expectSummary = [](const std::string &line,
-                                  const std::string &prefix) {
-        EXPECT_EQ(line.substr(0, prefix.size()), prefix) << line;
-        EXPECT_NE(line.find(" wall="), std::string::npos) << line;
+    // The event log's "run" records of kind jobs carry all three
+    // phases, in order, with exact counters.
+    struct Counts
+    {
+        std::uint64_t jobs, simulated, cached, failed;
     };
-    std::ifstream summary(opts.summaryPath);
-    ASSERT_TRUE(summary.good());
-    std::string line;
-    std::getline(summary, line);
-    expectSummary(line, "jobs=8 simulated=8 cached=0 failed=0 "
-                        "workers=2 hitrate=0.00 wall=");
-    std::getline(summary, line);
-    expectSummary(line, "jobs=8 simulated=0 cached=8 failed=0 "
-                        "workers=2 hitrate=1.00 wall=");
-    std::getline(summary, line);
-    expectSummary(line, "jobs=8 simulated=8 cached=0 failed=0 "
-                        "workers=2 hitrate=0.00 wall=");
+    std::vector<Counts> runs;
+    for (const JsonValue &e : readEvents(opts.telemetry.eventsPath)) {
+        if (e.find("type")->asString("type") != "run" ||
+            e.find("kind")->asString("kind") != "jobs")
+            continue;
+        EXPECT_EQ(e.find("workers")->asU64("workers"), 2u);
+        runs.push_back({e.find("jobs")->asU64("jobs"),
+                        e.find("simulated")->asU64("simulated"),
+                        e.find("cached")->asU64("cached"),
+                        e.find("failed")->asU64("failed")});
+    }
+    ASSERT_EQ(runs.size(), 3u);
+    const Counts expected[3] = {{8, 8, 0, 0}, {8, 0, 8, 0}, {8, 8, 0, 0}};
+    for (std::size_t r = 0; r < 3; r++) {
+        EXPECT_EQ(runs[r].jobs, expected[r].jobs) << "run " << r;
+        EXPECT_EQ(runs[r].simulated, expected[r].simulated) << "run " << r;
+        EXPECT_EQ(runs[r].cached, expected[r].cached) << "run " << r;
+        EXPECT_EQ(runs[r].failed, expected[r].failed) << "run " << r;
+    }
 
     std::filesystem::remove_all(dir);
 }
@@ -416,6 +436,24 @@ TEST(Orchestrator, FatalInOneJobFailsOnlyThatJob)
     EXPECT_EQ(orch.stats().value("driver.jobs.simulated"), 7.0);
 }
 
+TEST(Orchestrator, JobCountFromEnvTakesOnlyTheJobsFlagRange)
+{
+    // Same range as --jobs, [1, 1024]; anything else falls back
+    // rather than wrapping to some other worker count when narrowed.
+    ::unsetenv("JUMANJI_JOBS");
+    EXPECT_EQ(driver::jobCountFromEnv(2), 2u);
+    ::setenv("JUMANJI_JOBS", "3", 1);
+    EXPECT_EQ(driver::jobCountFromEnv(2), 3u);
+    ::setenv("JUMANJI_JOBS", "1024", 1);
+    EXPECT_EQ(driver::jobCountFromEnv(2), 1024u);
+    for (const char *bad :
+         {"4x", "5000000000", "4294967296", "1025", "0", "-1", ""}) {
+        ::setenv("JUMANJI_JOBS", bad, 1);
+        EXPECT_EQ(driver::jobCountFromEnv(2), 2u) << "value: " << bad;
+    }
+    ::unsetenv("JUMANJI_JOBS");
+}
+
 TEST(Telemetry, OptionsComeFromEnvAndGarbageFallsBackOff)
 {
     ::setenv("JUMANJI_EVENTS", "/tmp/jumanji_ev.jsonl", 1);
@@ -430,26 +468,20 @@ TEST(Telemetry, OptionsComeFromEnvAndGarbageFallsBackOff)
     EXPECT_EQ(driver::telemetryOptionsFromEnv().heartbeatMs, 0u);
     ::setenv("JUMANJI_HEARTBEAT_MS", "-5", 1);
     EXPECT_EQ(driver::telemetryOptionsFromEnv().heartbeatMs, 0u);
+    // Values past 32 bits must not wrap to a short period.
+    for (const char *bad : {"4x", "5000000000", "4294967296", "-1", ""}) {
+        ::setenv("JUMANJI_HEARTBEAT_MS", bad, 1);
+        EXPECT_EQ(driver::telemetryOptionsFromEnv().heartbeatMs, 0u)
+            << "value: " << bad;
+    }
+    ::setenv("JUMANJI_HEARTBEAT_MS", "3", 1);
+    EXPECT_EQ(driver::telemetryOptionsFromEnv().heartbeatMs, 3u);
 
     ::unsetenv("JUMANJI_EVENTS");
     ::unsetenv("JUMANJI_HEARTBEAT_MS");
     driver::TelemetryOptions off = driver::telemetryOptionsFromEnv();
     EXPECT_TRUE(off.eventsPath.empty());
     EXPECT_EQ(off.heartbeatMs, 0u);
-}
-
-/** Parses a JSONL event log into one JsonValue per line. */
-std::vector<JsonValue>
-readEvents(const std::string &path)
-{
-    std::ifstream is(path);
-    EXPECT_TRUE(is.good()) << path;
-    std::vector<JsonValue> events;
-    std::string line;
-    while (std::getline(is, line))
-        if (!line.empty())
-            events.push_back(JsonValue::parse(line, path));
-    return events;
 }
 
 TEST(Telemetry, EventLogSchemaIsStableAcrossWorkerCounts)

@@ -237,7 +237,7 @@ TEST(LintRules, ClockRoutingFlagsCallsButNotDeclaratorsOrMembers)
         countRule(lintMemory({{"src/driver/telemetry.cc", chrono}}),
                   "clock-routing"),
         0u);
-    // And tools/ is out of scope entirely: perf_history and the CLI
+    // And tools/ is out of scope entirely: the CLI and the debug tools
     // may time themselves however they like.
     EXPECT_EQ(countRule(lintMemory({{"tools/timer.cc", chrono}}),
                         "clock-routing"),

@@ -432,7 +432,8 @@ TEST(Spec, SeedFromEnvParsesTheFullRangeAndFallsBack)
 
     // 0 is reserved as "unset"; junk and trailing garbage fall back
     // (and warn once — not asserted here, the warning is logging).
-    for (const char *bad : {"0", "junk", "12x", ""}) {
+    for (const char *bad :
+         {"0", "junk", "12x", "", "-1", "18446744073709551616"}) {
         setenv("JUMANJI_SEED", bad, 1);
         EXPECT_EQ(driver::seedFromEnv(7), 7u) << "value: " << bad;
     }

@@ -285,8 +285,14 @@ TEST(Harness, MixCountEnvOverride)
     EXPECT_EQ(ExperimentHarness::mixCountFromEnv(6), 6u);
     setenv("JUMANJI_MIXES", "3", 1);
     EXPECT_EQ(ExperimentHarness::mixCountFromEnv(6), 3u);
-    setenv("JUMANJI_MIXES", "garbage", 1);
-    EXPECT_EQ(ExperimentHarness::mixCountFromEnv(6), 6u);
+    // Whole decimal numbers in [1, 2^32-1] only: no trailing junk,
+    // no sign, and nothing that would wrap when narrowed to 32 bits.
+    for (const char *bad :
+         {"garbage", "4x", "5000000000", "4294967296", "0", "-1", ""}) {
+        setenv("JUMANJI_MIXES", bad, 1);
+        EXPECT_EQ(ExperimentHarness::mixCountFromEnv(6), 6u)
+            << "value: " << bad;
+    }
     unsetenv("JUMANJI_MIXES");
 }
 
@@ -314,11 +320,9 @@ TEST(Harness, AggregationHelpers)
     results.push_back(harness.runMix(smallMix(), {LlcDesign::Jumanji},
                                      LoadLevel::High));
     auto speedups = gmeanSpeedups(results);
-    auto tails = worstTailRatios(results);
     auto vuln = meanVulnerability(results);
     EXPECT_EQ(speedups.count(LlcDesign::Jumanji), 1u);
     EXPECT_DOUBLE_EQ(speedups[LlcDesign::Static], 1.0);
-    EXPECT_GT(tails[LlcDesign::Static], 0.0);
     EXPECT_DOUBLE_EQ(vuln[LlcDesign::Jumanji], 0.0);
     EXPECT_GT(vuln[LlcDesign::Static], 10.0);
 }

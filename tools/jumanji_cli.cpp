@@ -9,8 +9,8 @@
  *                          examples/scenarios/ and docs/INTERNALS.md
  *                          §12) through the orchestrator and print
  *                          its report; --jobs/--cache-dir,
- *                          --selfcheck, --bench-json and the
- *                          observability exports apply. The grid
+ *                          --selfcheck and the observability
+ *                          exports apply. The grid
  *                          flags below (--design ... --sweep) do not:
  *                          the file defines the grid, so giving one
  *                          exits 2. An invalid scenario exits 2 with
@@ -59,17 +59,6 @@
  *                          every run as one long-format CSV
  *     --trace-out <file>   write a Chrome trace-event JSON covering
  *                          all runs (chrome://tracing / Perfetto)
- *     --bench-json <file>  wall-clock perf harness; requires
- *                          --scenario. Times the scenario's grid with
- *                          the result cache disabled and writes a
- *                          self-describing snapshot (schema
- *                          jumanji-bench-v2: codeVersion, jobs,
- *                          mixes, seed, wall_seconds,
- *                          simulated_accesses, accesses_per_sec, and
- *                          a phase split: calibrate_s is the shared
- *                          calibrations, simulate_s the rest of the
- *                          wall clock) as JSON; tools/perf_history
- *                          compares snapshots
  *     --profile <file>     enable the host-side scope profiler
  *                          (src/sim/profiler.hh) and write its
  *                          aggregated JSON report (where the wall
@@ -98,7 +87,10 @@
  *
  * None of the profiling/telemetry outputs feed back into results:
  * tables, fingerprints, and the result cache are byte-identical
- * with them on or off (docs/INTERNALS.md §13).
+ * with them on or off (docs/INTERNALS.md §13). Wall-clock
+ * benchmarking is perfbench/'s job (python3 perfbench/run.py); the
+ * --events-out log carries each job's simulated accesses and each
+ * run's wall seconds.
  *
  * With --selfcheck, instead prints the two FNV-1a fingerprints of the
  * full stats stream and exits 0 iff they match: reproducibility from
@@ -106,9 +98,6 @@
  * docs/INTERNALS.md).
  */
 
-#include <cctype>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -144,7 +133,7 @@ usage(const char *argv0, int exitCode = 2)
                  "[--seed N] [--paper-scale] [--jobs N] "
                  "[--cache-dir DIR] [--sweep] [--selfcheck] "
                  "[--stats-json FILE] [--timeline-csv FILE] "
-                 "[--trace-out FILE] [--bench-json FILE] "
+                 "[--trace-out FILE] "
                  "[--profile FILE] [--events-out FILE] "
                  "[--heartbeat-ms N]\n",
                  argv0);
@@ -268,79 +257,6 @@ writeTimelineCsv(std::ostream &os, const std::vector<MixResult> &results)
 }
 
 /**
- * --bench-json: end-to-end wall-clock measurement of a scenario's
- * expanded grid. The result cache is always disabled — a warm cache
- * would time deserialization, not simulation. simulated_accesses is
- * summed from each run's stats dump (llc.hits + llc.misses), so the
- * throughput figure is comparable across code versions exactly when
- * semantics are unchanged; a semantic change shifts the access count
- * and shows up as more than a throughput delta. The shared
- * calibrations run as their own phase, timed apart from the job run:
- * calibrate_s is that phase and simulate_s the rest of the wall clock
- * (expansion plus the job graph).
- *
- * The wall-clock read lives here and not in src/ deliberately: the
- * simulator itself must stay free of wall-clock dependence (the lint
- * pass enforces it), while the harness around it is the one place
- * where real time is the measurand.
- */
-int
-runScenarioBenchJson(const std::string &path,
-                     const driver::ExperimentSpec &spec,
-                     std::uint32_t jobs,
-                     const driver::TelemetryOptions &telemetry)
-{
-    driver::Orchestrator::Options opts;
-    opts.jobs = jobs;
-    opts.telemetry = telemetry;
-    driver::Orchestrator orch(opts);
-
-    using Clock = std::chrono::steady_clock;
-    auto secondsSince = [](Clock::time_point t0) {
-        return std::chrono::duration<double>(Clock::now() - t0).count();
-    };
-    Clock::time_point start = Clock::now();
-    driver::SpecPlan plan = driver::expandSpec(spec);
-    Clock::time_point calibrateStart = Clock::now();
-    driver::resolveCalibrations(spec, plan, orch);
-    double calibrate = secondsSince(calibrateStart);
-    driver::SpecRun run = driver::runPlan(std::move(plan), orch);
-    double wall = secondsSince(start);
-
-    double accesses = 0.0;
-    for (const MixResult &mix : run.results)
-        for (const DesignResult &d : mix.designs)
-            accesses += d.run.stat("llc.hits") + d.run.stat("llc.misses");
-
-    double rate = wall > 0.0 ? accesses / wall : 0.0;
-
-    std::ofstream os(path);
-    if (!os) fatal("cannot open " + path);
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"schema\": \"jumanji-bench-v2\",\n"
-                  " \"codeVersion\": \"%s\",\n"
-                  " \"jobs\": %u,\n"
-                  " \"mixes\": %u,\n"
-                  " \"seed\": %llu,\n"
-                  " \"wall_seconds\": %.3f,\n"
-                  " \"simulated_accesses\": %.0f,\n"
-                  " \"accesses_per_sec\": %.0f,\n"
-                  " \"phases\": {\"calibrate_s\": %.3f, "
-                  "\"simulate_s\": %.3f, \"report_s\": 0.000}}\n",
-                  driver::kCodeVersion, jobs, run.plan.mixCount,
-                  static_cast<unsigned long long>(run.plan.base.seed),
-                  wall, accesses, rate, calibrate, wall - calibrate);
-    os << buf;
-
-    std::printf("bench: scenario %s: %.0f accesses in %.3f s = "
-                "%.0f accesses/s (%u jobs) -> %s\n",
-                spec.name.c_str(), accesses, wall, rate, jobs,
-                path.c_str());
-    return 0;
-}
-
-/**
  * Flushes the main thread's scopes into the process aggregate (the
  * pool already flushed each worker at drain) and writes the profile
  * report. No-op without --profile.
@@ -369,22 +285,16 @@ parseDesign(const std::string &name)
 }
 
 /**
- * Parses the value of integer flag @p flag as a whole decimal string
- * in [@p lo, @p hi] — no sign, no trailing junk, no silent wrap (the
- * driver::seedFromEnv policy). Anything else is fatal and names the
- * flag.
+ * Parses the value of integer flag @p flag with parseWholeDecimal in
+ * [@p lo, @p hi] (the env-knob rule). Anything else is fatal and
+ * names the flag.
  */
 std::uint64_t
 parseCount(const std::string &flag, const std::string &text,
            std::uint64_t lo, std::uint64_t hi)
 {
-    errno = 0;
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    bool digitsOnly = !text.empty() &&
-                      std::isdigit(static_cast<unsigned char>(text[0])) &&
-                      *end == '\0';
-    if (!digitsOnly || errno == ERANGE || v < lo || v > hi)
+    std::uint64_t v = 0;
+    if (!parseWholeDecimal(text, lo, hi, v))
         fatal(flag + ": expected an integer in [" + std::to_string(lo) +
               ", " + std::to_string(hi) + "], got \"" + text + "\"");
     return v;
@@ -442,7 +352,6 @@ main(int argc, char **argv)
     std::string cacheDir = driver::cacheDirFromEnv();
     bool selfcheck = false;
     std::string statsJsonPath, timelineCsvPath, traceOutPath;
-    std::string benchJsonPath;
     std::string scenarioPath, scenarioCheckPath;
     std::string profilePath;
     driver::TelemetryOptions telemetry =
@@ -511,8 +420,6 @@ main(int argc, char **argv)
                 timelineCsvPath = next();
             } else if (arg == "--trace-out") {
                 traceOutPath = next();
-            } else if (arg == "--bench-json") {
-                benchJsonPath = next();
             } else if (arg == "--profile") {
                 profilePath = next();
             } else if (arg == "--events-out") {
@@ -539,12 +446,6 @@ main(int argc, char **argv)
                      "--scenario-check (the scenario file defines the "
                      "grid)\n",
                      gridFlag.c_str());
-        return 2;
-    }
-    if (!benchJsonPath.empty() && !fromFile) {
-        std::fprintf(stderr,
-                     "error: --bench-json requires --scenario (e.g. "
-                     "examples/scenarios/fig13_small.json)\n");
         return 2;
     }
     // Arm the profiler before any simulation runs. Without
@@ -599,13 +500,6 @@ main(int argc, char **argv)
     }
 
     try {
-        if (!benchJsonPath.empty()) {
-            int rc = runScenarioBenchJson(benchJsonPath, spec, jobs,
-                                          telemetry);
-            writeProfileJson(profilePath);
-            return rc;
-        }
-
         // Each traced job gets a private tracer that the orchestrator
         // merges back in submission order, so the combined trace is
         // the same whatever the worker count (plus a schedule lane).
