@@ -1,9 +1,10 @@
 /**
  * @file
  * Micro-benchmarks of the substrate itself (google-benchmark): the
- * event kernel, cache-array access, UMON updates, miss-curve
- * operations, the lookahead allocators, the placers, and descriptor
- * operations.
+ * per-access layers (random draws, address streams, mesh hops, route
+ * planning, memory controllers), the event kernel, cache-array
+ * access, UMON updates, miss-curve operations, the lookahead
+ * allocators, the placers, and descriptor operations.
  * These bound the simulator's own costs and double as ablation
  * harnesses for data-structure choices.
  */
@@ -17,13 +18,149 @@
 #include "src/cache/cache_array.hh"
 #include "src/core/lookahead.hh"
 #include "src/core/policies.hh"
+#include "src/cpu/mem_path.hh"
 #include "src/dnuca/umon.hh"
 #include "src/dnuca/vtb.hh"
+#include "src/mem/memory.hh"
+#include "src/noc/mesh.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
+#include "src/system/config.hh"
+#include "src/workloads/address_stream.hh"
+#include "src/workloads/spec_like.hh"
 
 namespace jumanji {
 namespace {
+
+/** 429.mcf's mean instructions between LLC accesses (1000 / APKI). */
+constexpr double kMcfGap = 1000.0 / 42.0;
+
+void
+BM_RngExponential(benchmark::State &state)
+{
+    // The step-gap draw as the apps made it before exponentialFloor:
+    // the libm log1p, then truncation.
+    Rng rng(6);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            static_cast<std::uint64_t>(rng.exponential(kMcfGap)));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngExponential);
+
+void
+BM_RngExponentialFloor(benchmark::State &state)
+{
+    Rng rng(6);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.exponentialFloor(kMcfGap));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngExponentialFloor);
+
+void
+BM_AddressStreamDraw(benchmark::State &state)
+{
+    // 429.mcf's working sets at benchScaled's capacity scale, scaled
+    // the way System scales them.
+    const double scale = SystemConfig::benchScaled().capacityScale;
+    std::vector<WorkingSet> sets = specAppParams("429.mcf").workingSets;
+    for (WorkingSet &ws : sets) {
+        ws.lines = std::max<std::uint64_t>(
+            16, static_cast<std::uint64_t>(
+                    static_cast<double>(ws.lines) * scale));
+    }
+    AddressStream stream(appAddressBase(0), sets);
+    Rng rng(7);
+    for (auto _ : state) benchmark::DoNotOptimize(stream.draw(rng));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AddressStreamDraw);
+
+void
+BM_MeshHops(benchmark::State &state)
+{
+    // The fig13 5x4 mesh, random core/bank tile pairs.
+    MeshTopology mesh(SystemConfig::benchScaled().mesh);
+    Rng rng(8);
+    const std::size_t n = 1 << 12;
+    std::vector<std::uint32_t> from(n), to(n);
+    for (std::size_t i = 0; i < n; i++) {
+        from[i] = static_cast<std::uint32_t>(rng.below(mesh.numTiles()));
+        to[i] = static_cast<std::uint32_t>(rng.below(mesh.numTiles()));
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(mesh.hops(from[i], to[i]));
+        i = (i + 1) & (n - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MeshHops);
+
+/** A fig13-geometry MemPath with 20 VCs, each striped over 5 banks. */
+std::unique_ptr<MemPath>
+fig13Path()
+{
+    SystemConfig cfg = SystemConfig::benchScaled();
+    auto path = std::make_unique<MemPath>(cfg.llc, cfg.mesh, cfg.mem,
+                                          cfg.umon, 1);
+    for (VcId vc = 0; vc < 20; vc++) {
+        path->registerVc(vc);
+        PlacementDescriptor desc;
+        std::vector<BankId> banks;
+        for (BankId b = 0; b < 5; b++) banks.push_back((vc + b * 4) % 20);
+        desc.fillStriped(banks);
+        path->installPlacement(vc, desc);
+    }
+    return path;
+}
+
+void
+BM_MemPathPlanAccess(benchmark::State &state)
+{
+    std::unique_ptr<MemPath> path = fig13Path();
+    Rng rng(9);
+    const std::size_t n = 1 << 12;
+    std::vector<LineAddr> lines(n);
+    for (LineAddr &l : lines) l = rng.below(1ull << 30);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        auto vc = static_cast<VcId>(i % 20);
+        benchmark::DoNotOptimize(path->planAccess(
+            static_cast<std::uint32_t>(vc), vc, lines[i]));
+        i = (i + 1) & (n - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemPathPlanAccess);
+
+void
+BM_MemorySystemAccess(benchmark::State &state)
+{
+    // Four corner controllers, four VMs, one LC VM; misses arrive a
+    // few cycles apart, so controllers queue as in a busy epoch.
+    SystemConfig cfg = SystemConfig::benchScaled();
+    MeshTopology mesh(cfg.mesh);
+    MemorySystem memory(cfg.mem, mesh);
+    memory.setActiveVms(4);
+    Rng rng(10);
+    const std::size_t n = 1 << 12;
+    std::vector<LineAddr> lines(n);
+    for (LineAddr &l : lines) l = rng.below(1ull << 30);
+    Tick now = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        now += 3;
+        auto vm = static_cast<VmId>(i & 3);
+        benchmark::DoNotOptimize(
+            memory.access(now, lines[i], vm, vm == 0).latency);
+        i = (i + 1) & (n - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemorySystemAccess);
 
 void
 BM_CacheArrayAccess(benchmark::State &state)

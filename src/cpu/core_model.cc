@@ -1,12 +1,26 @@
 #include "src/cpu/core_model.hh"
 
-#include <cmath>
-
 #include "src/sim/check.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/statreg.hh"
 
 namespace jumanji {
+
+namespace {
+
+/**
+ * static_cast<Tick>(std::ceil(x)) for 0 <= x < 2^63, without libm:
+ * truncation is exact there, and an x at or above 2^53 is already
+ * an integer.
+ */
+inline Tick
+ceilTicks(double x)
+{
+    const auto t = static_cast<Tick>(x);
+    return t + (static_cast<double>(t) < x ? 1 : 0);
+}
+
+} // namespace
 
 void
 CoreModel::registerStats(StatRegistry &reg, const std::string &prefix)
@@ -50,7 +64,8 @@ CoreModel::completeAccess(Tick now)
     const AppTraits &traits = app_->traits();
 
     PathAccessResult r = path_->accessArrived(
-        now, static_cast<std::uint32_t>(id_), owner_, pendingLine_);
+        now, static_cast<std::uint32_t>(id_), owner_, pendingLine_,
+        pendingRoute_);
     if (r.llcHit) {
         counters_.llcHits++;
     } else {
@@ -61,9 +76,9 @@ CoreModel::completeAccess(Tick now)
 
     // Latency seen by the core: request traversal + bank/memory +
     // response traversal (the latter two are in r.latency).
-    Tick latency = pendingTraversal_ + r.latency;
-    Tick stall = static_cast<Tick>(std::ceil(
-        static_cast<double>(latency) * traits.stallFactor));
+    Tick latency = pendingRoute_.traversal + r.latency;
+    Tick stall =
+        ceilTicks(static_cast<double>(latency) * traits.stallFactor);
     stallCycles_ += stall;
     app_->onAccessComplete(pendingIssueTick_ + latency);
 
@@ -85,8 +100,8 @@ CoreModel::resume(Tick now)
 
     // Compute burst.
     const AppTraits &traits = app_->traits();
-    Tick burst = static_cast<Tick>(
-        std::ceil(static_cast<double>(step.instrs) / traits.baseIpc));
+    Tick burst =
+        ceilTicks(static_cast<double>(step.instrs) / traits.baseIpc);
     instrs_ += step.instrs;
 
     // L1/L2 energy accounting: these hit counts are statistical (the
@@ -103,13 +118,12 @@ CoreModel::resume(Tick now)
         counters_.l2Misses++;
         // Issue: resume at the bank-arrival tick to take the port in
         // true arrival order.
-        MemPath::Route route = path_->planAccess(
+        pendingRoute_ = path_->planAccess(
             static_cast<std::uint32_t>(id_), owner_.vc, *step.access);
         accessPending_ = true;
         pendingLine_ = *step.access;
         pendingIssueTick_ = now + burst;
-        pendingTraversal_ = route.traversal;
-        return pendingIssueTick_ + route.traversal;
+        return pendingIssueTick_ + pendingRoute_.traversal;
     }
 
     Tick next = now + burst;

@@ -86,7 +86,8 @@ class CoreModel : public Agent
     bool accessPending_ = false;
     LineAddr pendingLine_ = 0;
     Tick pendingIssueTick_ = 0;
-    Tick pendingTraversal_ = 0;
+    /** The route planned at issue; reused at arrival if still valid. */
+    MemPath::Route pendingRoute_;
 
     std::uint64_t instrs_ = 0;
     Tick stallCycles_ = 0;

@@ -70,6 +70,8 @@ MemPath::planAccess(std::uint32_t coreTile, VcId vc, LineAddr line) const
     route.hops = mesh_.hops(coreTile,
                             static_cast<std::uint32_t>(route.bank));
     route.traversal = mesh_.traversalLatency(route.hops);
+    route.tile = coreTile;
+    route.generation = vtb_.generation();
     return route;
 }
 
@@ -77,9 +79,27 @@ PathAccessResult
 MemPath::accessArrived(Tick now, std::uint32_t coreTile,
                        const AccessOwner &owner, LineAddr line)
 {
-    PathAccessResult result;
+    return arrive(now, coreTile, owner, line,
+                  planAccess(coreTile, owner.vc, line));
+}
 
-    Route route = planAccess(coreTile, owner.vc, line);
+PathAccessResult
+MemPath::accessArrived(Tick now, std::uint32_t coreTile,
+                       const AccessOwner &owner, LineAddr line,
+                       const Route &planned)
+{
+    // A reconfiguration (or a thread migration) between issue and
+    // arrival can move the access; only then is the plan redone.
+    if (planned.generation != vtb_.generation() || planned.tile != coreTile)
+        return accessArrived(now, coreTile, owner, line);
+    return arrive(now, coreTile, owner, line, planned);
+}
+
+PathAccessResult
+MemPath::arrive(Tick now, std::uint32_t coreTile, const AccessOwner &owner,
+                LineAddr line, const Route &route)
+{
+    PathAccessResult result;
     result.bank = route.bank;
     result.hopsToBank = route.hops;
 
@@ -88,7 +108,7 @@ MemPath::accessArrived(Tick now, std::uint32_t coreTile,
     // extra wait is part of the observed latency.
     Tick linkDelay = 0;
     if (mesh_.params().modelLinkContention) {
-        // The route is re-planned at arrival; a reconfiguration
+        // The route is current at arrival; a reconfiguration
         // between issue and arrival can change the traversal, so
         // clamp instead of underflowing Tick (an underflow would
         // poison the link busy-until times permanently).
@@ -160,7 +180,7 @@ MemPath::access(Tick now, std::uint32_t coreTile, const AccessOwner &owner,
 {
     Route route = planAccess(coreTile, owner.vc, line);
     PathAccessResult result =
-        accessArrived(now + route.traversal, coreTile, owner, line);
+        accessArrived(now + route.traversal, coreTile, owner, line, route);
     // Full issue-to-data latency includes the request traversal.
     result.latency += route.traversal;
     return result;

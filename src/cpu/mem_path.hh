@@ -69,6 +69,10 @@ class MemPath
         std::uint32_t hops = 0;
         /** One-way core->bank traversal latency. */
         Tick traversal = 0;
+        /** Core tile the route starts from. */
+        std::uint32_t tile = 0;
+        /** Vtb::generation() when the route was planned. */
+        std::uint64_t generation = 0;
     };
 
     /** Looks up the bank and traversal for (@p vc, @p line). */
@@ -87,6 +91,17 @@ class MemPath
     PathAccessResult accessArrived(Tick now, std::uint32_t coreTile,
                                    const AccessOwner &owner,
                                    LineAddr line);
+
+    /**
+     * accessArrived for an access whose route was planned at issue:
+     * @p planned is planAccess(tile, owner.vc, @p line). It is reused
+     * while the VTB generation and the core's tile are unchanged,
+     * and re-planned otherwise, so the result always equals the
+     * four-argument form's.
+     */
+    PathAccessResult accessArrived(Tick now, std::uint32_t coreTile,
+                                   const AccessOwner &owner,
+                                   LineAddr line, const Route &planned);
 
     /**
      * Single-call convenience used by tests: plans the access,
@@ -186,6 +201,11 @@ class MemPath
     void registerStats(StatRegistry &reg, const std::string &top);
 
   private:
+    /** The timed access along @p route, current at @p now. */
+    PathAccessResult arrive(Tick now, std::uint32_t coreTile,
+                            const AccessOwner &owner, LineAddr line,
+                            const Route &route);
+
     MeshTopology mesh_;
     MemorySystem memory_;
     Vtb vtb_;

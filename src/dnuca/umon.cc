@@ -9,11 +9,11 @@
 
 namespace jumanji {
 
-Umon::Umon(const UmonParams &params)
-    : params_(params),
-      stacks_(static_cast<std::size_t>(params.sets) * params.ways, 0),
-      depth_(params.sets, 0),
-      hitCounters_(params.ways, 0)
+namespace {
+
+/** The sampling ratio: modelled lines per directory tag, >= 1. */
+double
+sampleRateFor(const UmonParams &params)
 {
     if (params.sets == 0 || params.ways == 0)
         fatal("Umon: sets and ways must be nonzero");
@@ -21,10 +21,22 @@ Umon::Umon(const UmonParams &params)
     // modelledLines of capacity, so it samples at that ratio.
     std::uint64_t tags = static_cast<std::uint64_t>(params.sets) *
                          params.ways;
-    sampleRate_ = static_cast<double>(params.modelledLines) /
-                  static_cast<double>(std::max<std::uint64_t>(1, tags));
-    if (sampleRate_ < 1.0) sampleRate_ = 1.0;
-    rateInt_ = static_cast<std::uint64_t>(sampleRate_);
+    double rate = static_cast<double>(params.modelledLines) /
+                  static_cast<double>(tags);
+    return rate < 1.0 ? 1.0 : rate;
+}
+
+} // namespace
+
+Umon::Umon(const UmonParams &params)
+    : params_(params),
+      sampleRate_(sampleRateFor(params)),
+      rateInt_(static_cast<std::uint64_t>(sampleRate_)),
+      sets_(params.sets),
+      stacks_(static_cast<std::size_t>(params.sets) * params.ways, 0),
+      depth_(params.sets, 0),
+      hitCounters_(params.ways, 0)
+{
 }
 
 void
@@ -32,8 +44,7 @@ Umon::recordSampled(LineAddr line)
 {
     sampledAccesses_++;
 
-    auto set = static_cast<std::uint32_t>(umon_detail::mix(line) %
-                                          params_.sets);
+    auto set = static_cast<std::uint32_t>(sets_.mod(umon_detail::mix(line)));
     LineAddr *stack =
         stacks_.data() + static_cast<std::size_t>(set) * params_.ways;
     std::uint32_t &depth = depth_[set];

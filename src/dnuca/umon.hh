@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/dnuca/miss_curve.hh"
+#include "src/sim/fastmod.hh"
 #include "src/sim/types.hh"
 
 namespace jumanji {
@@ -114,7 +115,7 @@ class Umon
         // (not the access) keeps a line's accesses consistently
         // monitored.
         std::uint64_t h = umon_detail::mix(line ^ 0x5bf03635ull);
-        return (h % rateInt_) == 0;
+        return rateInt_.divides(h);
     }
 
     /** LRU-stack update for an access that passed the sample. */
@@ -122,8 +123,10 @@ class Umon
 
     UmonParams params_;
     double sampleRate_;
-    /** sampleRate_ truncated once, for the per-access modulo. */
-    std::uint64_t rateInt_;
+    /** sampleRate_ truncated once, for the per-access sample test. */
+    FastMod rateInt_;
+    /** params_.sets, for the sampled accesses' set index. */
+    FastMod sets_;
 
     /**
      * Per-set LRU stacks of line tags, most recent first, in one flat

@@ -143,7 +143,18 @@ class Vtb
     }
 
     /** Removes all descriptors. */
-    void clear() { table_.clear(); }
+    void
+    clear()
+    {
+        table_.clear();
+        generation_++;
+    }
+
+    /**
+     * Bumped by every mutation (install, clear): a route planned at
+     * one generation is still valid while the generation holds.
+     */
+    std::uint64_t generation() const { return generation_; }
 
     std::size_t size() const { return table_.size(); }
 
@@ -159,6 +170,7 @@ class Vtb
     // debugging dumps) still visits VCs in a deterministic order.
     SmallIdMap<VcId, PlacementDescriptor> table_;
     std::uint64_t installs_ = 0;
+    std::uint64_t generation_ = 0;
 };
 
 } // namespace jumanji

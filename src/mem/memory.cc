@@ -44,7 +44,8 @@ MemorySystem::controllerFor(LineAddr line) const
 std::uint32_t
 MemorySystem::controllerTile(std::uint32_t mc) const
 {
-    return cornerTiles_[mc % cornerTiles_.size()];
+    JUMANJI_ASSERT(mc < cornerTiles_.size(), "no such memory controller");
+    return cornerTiles_[mc];
 }
 
 void

@@ -24,6 +24,26 @@ MeshTopology::MeshTopology(const MeshParams &params)
 {
     if (params.cols == 0 || params.rows == 0)
         fatal("MeshTopology: mesh dimensions must be nonzero");
+    if (static_cast<std::uint64_t>(params.cols) * params.rows > kMaxTiles)
+        fatal("MeshTopology: mesh has more than " +
+              std::to_string(kMaxTiles) + " tiles");
+    const std::uint32_t tiles = numTiles();
+    hopTable_.resize(static_cast<std::size_t>(tiles) * tiles);
+    for (std::uint32_t from = 0; from < tiles; from++) {
+        for (std::uint32_t to = 0; to < tiles; to++) {
+            std::int64_t dx = static_cast<std::int64_t>(xOf(from)) -
+                              static_cast<std::int64_t>(xOf(to));
+            std::int64_t dy = static_cast<std::int64_t>(yOf(from)) -
+                              static_cast<std::int64_t>(yOf(to));
+            std::int64_t h = std::llabs(dx) + std::llabs(dy);
+            // Mesh-hop bound: an X-Y route is at most the mesh
+            // semi-perimeter.
+            JUMANJI_ASSERT(h <= params_.cols + params_.rows - 2,
+                           "hop count exceeds the mesh semi-perimeter");
+            hopTable_[static_cast<std::size_t>(from) * tiles + to] =
+                static_cast<std::uint16_t>(h);
+        }
+    }
 }
 
 Tick
@@ -54,23 +74,6 @@ MeshTopology::traverse(Tick start, std::uint32_t fromTile,
     JUMANJI_ASSERT(now >= start,
                    "contended traversal finished before it started");
     return now;
-}
-
-std::uint32_t
-MeshTopology::hops(std::uint32_t fromTile, std::uint32_t toTile) const
-{
-    JUMANJI_ASSERT(fromTile < numTiles() && toTile < numTiles(),
-                   "tile index outside the mesh");
-    std::int64_t dx = static_cast<std::int64_t>(xOf(fromTile)) -
-                      static_cast<std::int64_t>(xOf(toTile));
-    std::int64_t dy = static_cast<std::int64_t>(yOf(fromTile)) -
-                      static_cast<std::int64_t>(yOf(toTile));
-    std::uint32_t h =
-        static_cast<std::uint32_t>(std::llabs(dx) + std::llabs(dy));
-    // Mesh-hop bound: an X-Y route is at most the mesh semi-perimeter.
-    JUMANJI_ASSERT(h <= params_.cols + params_.rows - 2,
-                   "hop count exceeds the mesh semi-perimeter");
-    return h;
 }
 
 Tick

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/check.hh"
 #include "src/sim/types.hh"
 
 namespace jumanji {
@@ -59,8 +60,19 @@ class MeshTopology
     std::uint32_t numTiles() const { return params_.cols * params_.rows; }
     const MeshParams &params() const { return params_; }
 
-    /** Manhattan (X-Y route) hop count between two tiles. */
-    std::uint32_t hops(std::uint32_t fromTile, std::uint32_t toTile) const;
+    /**
+     * Manhattan (X-Y route) hop count between two tiles: one load
+     * from a table the constructor fills, probed several times per
+     * LLC access.
+     */
+    std::uint32_t
+    hops(std::uint32_t fromTile, std::uint32_t toTile) const
+    {
+        JUMANJI_ASSERT(fromTile < numTiles() && toTile < numTiles(),
+                       "tile index outside the mesh");
+        return hopTable_[static_cast<std::size_t>(fromTile) * numTiles() +
+                         toTile];
+    }
 
     /** One-way traversal latency for @p hopCount hops. */
     Tick traversalLatency(std::uint32_t hopCount) const;
@@ -108,7 +120,12 @@ class MeshTopology
         return static_cast<std::size_t>(tile) * 4 + dir;
     }
 
+    /** Largest mesh whose tiles^2 hop table (32 MB) is built. */
+    static constexpr std::uint32_t kMaxTiles = 4096;
+
     MeshParams params_;
+    /** hopTable_[from * numTiles() + to] = |dx| + |dy|. */
+    std::vector<std::uint16_t> hopTable_;
     /** Busy-until per directed link (contention model). */
     std::vector<Tick> linkBusyUntil_;
     std::uint64_t linkWaitCycles_ = 0;

@@ -12,13 +12,6 @@
 
 namespace jumanji {
 
-CheckContext &
-checkContext()
-{
-    thread_local CheckContext ctx;
-    return ctx;
-}
-
 CheckContextScope::CheckContextScope()
 {
     CheckContext &ctx = checkContext();

@@ -66,9 +66,16 @@ struct CheckContext
  * The current thread's context. Each simulation runs single-threaded
  * on one worker; making the context thread-local lets the driver run
  * several independent Systems concurrently without their failure
- * dumps (or the scope assert below) cross-talking.
+ * dumps (or the scope assert below) cross-talking. Inline, and
+ * constant-initialized, so the setters below are one thread-local
+ * store each (the kernel publishes every event's tick).
  */
-CheckContext &checkContext();
+inline CheckContext &
+checkContext()
+{
+    thread_local constinit CheckContext ctx;
+    return ctx;
+}
 
 /**
  * RAII marker for one live simulation run on this worker thread.

@@ -124,12 +124,21 @@ class EventQueue
         Agent *agent;
     };
 
-    /** Strict (when, seq) order: true if @p a runs before @p b. */
+    /**
+     * Strict (when, seq) order: true if @p a runs before @p b. One
+     * 128-bit compare of when:seq is the same lexicographic order
+     * without the data-dependent branch on a tie.
+     */
     static bool
     before(const Entry &a, const Entry &b)
     {
-        if (a.when != b.when) return a.when < b.when;
-        return a.seq < b.seq;
+        return key(a) < key(b);
+    }
+
+    static __uint128_t
+    key(const Entry &e)
+    {
+        return (static_cast<__uint128_t>(e.when) << 64) | e.seq;
     }
 
     void

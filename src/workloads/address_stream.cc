@@ -44,12 +44,26 @@ AddressStream::draw(Rng &rng)
         return base_ + offsets_[idx];
     if (ws.skew <= 0.0)
         return base_ + offsets_[idx] + rng.below(ws.lines);
-    // Hot-front draw: position = N * u^(1+skew).
-    double u = rng.uniform();
-    auto pos = static_cast<std::uint64_t>(
-        static_cast<double>(ws.lines) * std::pow(u, 1.0 + ws.skew));
-    if (pos >= ws.lines) pos = ws.lines - 1;
-    return base_ + offsets_[idx] + pos;
+    return base_ + offsets_[idx] +
+           hotFrontPosition(ws.lines, 1.0 + ws.skew, rng.uniform());
+}
+
+std::uint64_t
+hotFrontPosition(std::uint64_t lines, double exponent, double u)
+{
+    const auto n = static_cast<double>(lines);
+    if (exponent == 2.0) {
+        // u^2 by one multiply: u*u and pow(u, 2) differ by at most an
+        // ulp (they do on ~0.09% of draws), so x is within a few ulps
+        // of the pow product and has its floor whenever it lies more
+        // than x * 2^-40 from an integer. Otherwise pow decides.
+        const double x = n * (u * u);
+        std::uint64_t pos;
+        if (rng_detail::clearFloor(x, x * 0x1p-40, pos))
+            return pos < lines ? pos : lines - 1;
+    }
+    const auto pos = static_cast<std::uint64_t>(n * std::pow(u, exponent));
+    return pos < lines ? pos : lines - 1;
 }
 
 } // namespace jumanji

@@ -67,6 +67,15 @@ class AddressStream
     LineAddr streamCursor_ = 0;
 };
 
+/**
+ * The hot-front position floor(@p lines * @p u ^ @p exponent),
+ * clamped to lines - 1, exactly as the pow expression computes it;
+ * exponent 2 (skew 1) skips pow whenever the result is certain.
+ * @pre lines > 0, 0 <= u < 1.
+ */
+std::uint64_t hotFrontPosition(std::uint64_t lines, double exponent,
+                               double u);
+
 /** Returns a per-app address-space base that cannot collide. */
 inline LineAddr
 appAddressBase(AppId app)

@@ -139,7 +139,7 @@ SpecLikeApp::next(Tick, Rng &rng)
     // Geometric jitter around the mean gap keeps bank-port arrivals
     // from synchronising artificially across cores.
     double mean = instrsPerAccess();
-    auto gap = static_cast<std::uint64_t>(rng.exponential(mean)) + 1;
+    std::uint64_t gap = rng.exponentialFloor(mean) + 1;
     return AppStep::execute(gap, stream_.draw(rng));
 }
 

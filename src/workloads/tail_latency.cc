@@ -91,8 +91,7 @@ TailLatencyApp::TailLatencyApp(const TailAppParams &params, AppId app,
     if (meanInterarrival_ <= 0.0)
         fatal("TailLatencyApp: interarrival must be positive");
     instrsPerAccess_ = 1000.0 / params_.apki;
-    nextArrival_ = static_cast<Tick>(
-        arrivalRng_.exponential(meanInterarrival_));
+    nextArrival_ = arrivalRng_.exponentialFloor(meanInterarrival_);
 }
 
 void
@@ -102,8 +101,8 @@ TailLatencyApp::setMeanInterarrival(double cycles, Tick now)
         fatal("TailLatencyApp: interarrival must be positive");
     meanInterarrival_ = cycles;
     // Resample the pending arrival under the new rate.
-    nextArrival_ = now + static_cast<Tick>(
-        arrivalRng_.exponential(meanInterarrival_)) + 1;
+    nextArrival_ =
+        now + arrivalRng_.exponentialFloor(meanInterarrival_) + 1;
 }
 
 void
@@ -112,8 +111,7 @@ TailLatencyApp::drainArrivals(Tick now)
     while (nextArrival_ <= now) {
         pendingArrivals_.push_back(nextArrival_);
         arrived_++;
-        nextArrival_ += static_cast<Tick>(
-            arrivalRng_.exponential(meanInterarrival_)) + 1;
+        nextArrival_ += arrivalRng_.exponentialFloor(meanInterarrival_) + 1;
     }
 }
 
@@ -169,7 +167,7 @@ TailLatencyApp::next(Tick now, Rng &rng)
     }
 
     double mean = instrsPerAccess_;
-    auto gap = static_cast<std::uint64_t>(rng.exponential(mean)) + 1;
+    std::uint64_t gap = rng.exponentialFloor(mean) + 1;
     accessesLeft_--;
     if (accessesLeft_ == 0) {
         // Final access of this request: completion recorded when the

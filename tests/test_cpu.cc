@@ -237,6 +237,87 @@ TEST(MemPath, PartialMoveInvalidatesOnlyMovedSlices)
     EXPECT_EQ(path->bank(0).constArray().occupancyOfVc(0), occ0);
 }
 
+void
+expectSameResult(const PathAccessResult &a, const PathAccessResult &b)
+{
+    EXPECT_EQ(a.llcHit, b.llcHit);
+    EXPECT_EQ(a.bank, b.bank);
+    EXPECT_EQ(a.latency, b.latency);
+    EXPECT_EQ(a.bankQueueDelay, b.bankQueueDelay);
+    EXPECT_EQ(a.hopsToBank, b.hopsToBank);
+}
+
+TEST(MemPath, ReusedRouteIsReplannedAfterAnInstall)
+{
+    // Two identical paths: one arrives with the route planned at
+    // issue, the other re-plans with the four-argument form.
+    auto reuse = makePath();
+    auto replan = makePath();
+    for (MemPath *p : {reuse.get(), replan.get()}) {
+        p->registerVc(0);
+        installStriped(*p, 0);
+    }
+    const LineAddr line = 42;
+    MemPath::Route planned = reuse->planAccess(0, 0, line);
+
+    // Reconfigure between issue and arrival: the line's bank moves.
+    PlacementDescriptor moved;
+    const BankId target = (planned.bank + 1) % 4;
+    moved.fillStriped({target});
+    for (MemPath *p : {reuse.get(), replan.get()})
+        p->installPlacement(0, moved);
+
+    PathAccessResult a = reuse->accessArrived(100, 0, owner(0), line,
+                                              planned);
+    PathAccessResult b = replan->accessArrived(100, 0, owner(0), line);
+    EXPECT_EQ(a.bank, target);
+    expectSameResult(a, b);
+
+    // A thread migration between issue and arrival re-plans too.
+    planned = reuse->planAccess(0, 0, line + 1);
+    a = reuse->accessArrived(200, 3, owner(0), line + 1, planned);
+    b = replan->accessArrived(200, 3, owner(0), line + 1);
+    EXPECT_EQ(a.hopsToBank, replan->mesh().hops(3, target));
+    expectSameResult(a, b);
+}
+
+TEST(MemPath, ReusedRouteMatchesFourArgumentPath)
+{
+    // With no install in between, reusing the planned route gives
+    // the same results, counters and cache state over a seeded
+    // stream from several cores, VMs and VCs.
+    auto reuse = makePath();
+    auto replan = makePath();
+    for (MemPath *p : {reuse.get(), replan.get()}) {
+        for (VcId vc = 0; vc < 3; vc++) {
+            p->registerVc(vc);
+            PlacementDescriptor desc;
+            desc.fillProportional(
+                {{vc, 3.0}, {(vc + 1) % 4, 1.0}, {3, 1.0}});
+            p->installPlacement(vc, desc);
+        }
+    }
+    Rng rng(23);
+    Tick now = 0;
+    for (int i = 0; i < 20000; i++) {
+        const auto tile = static_cast<std::uint32_t>(rng.below(4));
+        const auto app = static_cast<AppId>(rng.below(3));
+        const AccessOwner o = owner(app, app == 2 ? 1 : 0);
+        const LineAddr line = rng.below(512);
+        now += 1 + rng.below(20);
+        MemPath::Route planned = reuse->planAccess(tile, o.vc, line);
+        PathAccessResult a = reuse->accessArrived(
+            now + planned.traversal, tile, o, line, planned);
+        PathAccessResult b =
+            replan->accessArrived(now + planned.traversal, tile, o, line);
+        expectSameResult(a, b);
+        ASSERT_FALSE(::testing::Test::HasFailure()) << "access " << i;
+    }
+    EXPECT_EQ(reuse->counters().llcHits, replan->counters().llcHits);
+    EXPECT_EQ(reuse->counters().nocHops, replan->counters().nocHops);
+    EXPECT_EQ(reuse->umon(1).accesses(), replan->umon(1).accesses());
+}
+
 TEST(MemPath, WayMaskInstallation)
 {
     auto path = makePath();

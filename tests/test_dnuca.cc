@@ -13,6 +13,7 @@
 #include "src/dnuca/miss_curve.hh"
 #include "src/dnuca/umon.hh"
 #include "src/dnuca/vtb.hh"
+#include "src/sim/fastmod.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/rng.hh"
 
@@ -135,6 +136,44 @@ smallUmon()
     p.ways = 16;
     p.modelledLines = 16 * 16; // sample rate 1: monitor everything
     return p;
+}
+
+TEST(Umon, SamplerMultiplyShiftMatchesModulo)
+{
+    // Oracle for the UMON's divide-free sample test (h % rate == 0)
+    // and set index (mix % sets): FastMod against the % operator.
+    Rng rng(41);
+    std::vector<std::uint64_t> hashes = {0, ~0ull, 1, ~0ull - 1};
+    for (int i = 0; i < 20000; i++) hashes.push_back(rng.next());
+    // Multiples and near-multiples of each divisor, too.
+    for (int i = 0; i < 2000; i++) {
+        std::uint64_t m = rng.next() >> 8;
+        hashes.push_back(m * 96);
+        hashes.push_back(m * 64 + 63);
+        hashes.push_back(m * 60);
+    }
+    for (std::uint64_t rate = 1; rate <= 64; rate++) {
+        FastMod fm(rate);
+        for (std::uint64_t h : hashes) {
+            ASSERT_EQ(fm.divides(h), h % rate == 0) << h << " % " << rate;
+            ASSERT_EQ(fm.mod(h), h % rate) << h << " % " << rate;
+        }
+    }
+    for (std::uint64_t sets : {1u, 64u, 256u, 96u}) {
+        FastMod fm(sets);
+        for (std::uint64_t h : hashes) {
+            std::uint64_t mixed = umon_detail::mix(h);
+            ASSERT_EQ(fm.mod(mixed), mixed % sets) << h << " % " << sets;
+            ASSERT_EQ(fm.mod(h), h % sets) << h << " % " << sets;
+        }
+    }
+    FastMod widest(0xffffffffull);
+    for (std::uint64_t h : hashes) {
+        ASSERT_EQ(widest.mod(h), h % 0xffffffffull);
+        ASSERT_EQ(widest.divides(h), h % 0xffffffffull == 0);
+    }
+    EXPECT_THROW(FastMod(0), FatalError);
+    EXPECT_THROW(FastMod(1ull << 32), FatalError);
 }
 
 TEST(Umon, CountsAccesses)

@@ -42,6 +42,42 @@ TEST(Mesh, ManhattanHops)
     EXPECT_EQ(mesh.hops(7, 12), 1u);  // adjacent rows, same column
 }
 
+TEST(Mesh, HopTableMatchesManhattanDistance)
+{
+    // Oracle: |dx| + |dy| from coordinates computed here, for every
+    // tile pair on the paper mesh and on degenerate and square ones.
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+        {5, 4}, {1, 1}, {1, 7}, {8, 8}};
+    for (const auto &[cols, rows] : shapes) {
+        MeshParams p = paperMesh();
+        p.cols = cols;
+        p.rows = rows;
+        MeshTopology mesh(p);
+        for (std::uint32_t a = 0; a < cols * rows; a++) {
+            for (std::uint32_t b = 0; b < cols * rows; b++) {
+                const int dx = static_cast<int>(a % cols) -
+                               static_cast<int>(b % cols);
+                const int dy = static_cast<int>(a / cols) -
+                               static_cast<int>(b / cols);
+                ASSERT_EQ(mesh.hops(a, b),
+                          static_cast<std::uint32_t>(std::abs(dx) +
+                                                     std::abs(dy)))
+                    << cols << "x" << rows << " " << a << "->" << b;
+            }
+        }
+    }
+}
+
+TEST(Mesh, RejectsMeshesBeyondTheHopTable)
+{
+    MeshParams p = paperMesh();
+    p.cols = 64;
+    p.rows = 64;
+    EXPECT_NO_THROW(MeshTopology{p});
+    p.cols = 65;
+    EXPECT_THROW(MeshTopology{p}, FatalError);
+}
+
 TEST(Mesh, HopsSymmetric)
 {
     MeshTopology mesh(paperMesh());

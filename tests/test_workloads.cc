@@ -6,16 +6,198 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "src/sim/logging.hh"
+#include "src/system/config.hh"
+#include "src/system/system.hh"
 #include "src/workloads/address_stream.hh"
+#include "src/workloads/kv/kv_store.hh"
 #include "src/workloads/mixes.hh"
 #include "src/workloads/spec_like.hh"
 #include "src/workloads/tail_latency.hh"
 
 namespace jumanji {
 namespace {
+
+/**
+ * 2.0, hidden from the optimizer: GCC folds pow(x, 2.0) with a
+ * literal exponent into x * x, which would turn every pow reference
+ * below into the very fast path it checks.
+ */
+double
+opaqueTwo()
+{
+    volatile double two = 2.0;
+    return two;
+}
+
+/** Every working-set size in the catalogs, scaled as System does. */
+std::vector<std::uint64_t>
+catalogSetSizes(double scale)
+{
+    std::vector<std::vector<WorkingSet>> all;
+    for (const SpecAppParams &p : specAppCatalog())
+        all.push_back(p.workingSets);
+    for (const std::string &name : allLcAppNames())
+        all.push_back(lcAppParams(name).workingSets);
+    std::set<std::uint64_t> sizes;
+    for (const auto &sets : all) {
+        for (const WorkingSet &ws : sets) {
+            if (ws.streaming || ws.lines == 0) continue;
+            sizes.insert(scale == 1.0
+                             ? ws.lines
+                             : std::max<std::uint64_t>(
+                                   16, static_cast<std::uint64_t>(
+                                           static_cast<double>(ws.lines) *
+                                           scale)));
+        }
+    }
+    return {sizes.begin(), sizes.end()};
+}
+
+/**
+ * Every mean the simulator draws exponentials at: the step gaps
+ * (1000 / APKI) of every batch and LC app, the nominal request
+ * interarrivals of every LC app at both loads, and a decade sweep
+ * that brackets the calibrated and trace-scaled interarrivals.
+ */
+std::vector<double>
+simulatorMeans()
+{
+    std::set<double> means;
+    for (const SpecAppParams &p : specAppCatalog())
+        means.insert(1000.0 / p.apki);
+    const double llcLatency = SystemConfig::benchScaled().nominalLlcLatency;
+    for (const std::string &name : allLcAppNames()) {
+        const TailAppParams &p = lcAppParams(name);
+        means.insert(1000.0 / p.apki);
+        const double service = System::nominalServiceCycles(p, llcLatency);
+        for (LoadLevel load : {LoadLevel::Low, LoadLevel::High})
+            means.insert(service / loadUtilization(load));
+    }
+    for (double m = 1.0; m <= 1e7; m *= 10.0) means.insert(m);
+    return {means.begin(), means.end()};
+}
+
+// --------------------------------------------- Exact libm-free paths
+
+TEST(Rng, ExponentialFloorMatchesLibm)
+{
+    // Directed: a mean that puts -mean * log1p(-u) within an ulp or
+    // two of an integer, where only libm can decide the floor. The
+    // libm-free path must decline every one, and the result must
+    // still be the libm floor.
+    Rng rng(17);
+    int cases = 0;
+    int fallbacks = 0;
+    for (int i = 0; i < 100000; i++) {
+        const double u = rng.uniform();
+        const double logged = -std::log1p(-u);
+        if (logged == 0.0) continue;
+        const double mean =
+            static_cast<double>(1 + rng.below(100000)) / logged;
+        std::uint64_t approx;
+        cases++;
+        if (!rng_detail::approxFloorExponential(u, mean, approx))
+            fallbacks++;
+        ASSERT_EQ(rng_detail::floorExponential(u, mean),
+                  static_cast<std::uint64_t>(-mean * std::log1p(-u)))
+            << "u=" << u << " mean=" << mean;
+    }
+    EXPECT_EQ(fallbacks, cases);
+
+    // u = 0 gives exactly 0; the path cannot certify a floor there.
+    std::uint64_t approx;
+    EXPECT_FALSE(rng_detail::approxFloorExponential(0.0, 10.0, approx));
+    EXPECT_EQ(rng_detail::floorExponential(0.0, 10.0), 0u);
+}
+
+/** One mean from simulatorMeans(). */
+class ExponentialFloorStream : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(ExponentialFloorStream, MatchesLibm)
+{
+    // 10^7 same-seed draws: the floor and the truncated libm variate
+    // agree on every one, and consume the same stream.
+    const double mean = GetParam();
+    Rng fast(0x5eed ^ static_cast<std::uint64_t>(mean * 1e3));
+    Rng libm = fast;
+    std::uint64_t mismatches = 0;
+    std::uint64_t first = 0;
+    for (std::uint64_t i = 0; i < 10000000; i++) {
+        const std::uint64_t a = fast.exponentialFloor(mean);
+        const auto b = static_cast<std::uint64_t>(libm.exponential(mean));
+        if (a != b && mismatches++ == 0) first = i;
+    }
+    EXPECT_EQ(mismatches, 0u) << "mean=" << mean << " first at " << first;
+    EXPECT_EQ(fast.next(), libm.next());
+}
+
+INSTANTIATE_TEST_SUITE_P(SimulatorMeans, ExponentialFloorStream,
+                         ::testing::ValuesIn(simulatorMeans()));
+
+TEST(AddressStream, SquaredDrawMatchesPow)
+{
+    const double two = opaqueTwo();
+    for (double scale : {0.25, 1.0}) {
+        for (std::uint64_t lines : catalogSetSizes(scale)) {
+            const auto n = static_cast<double>(lines);
+            auto check = [&](double u) {
+                auto want = static_cast<std::uint64_t>(n * std::pow(u, two));
+                if (want >= lines) want = lines - 1;
+                ASSERT_EQ(hotFrontPosition(lines, 2.0, u), want)
+                    << "lines=" << lines << " u=" << u;
+            };
+            Rng rng(lines);
+            for (int i = 0; i < 20000; i++) check(rng.uniform());
+            // Directed: u around sqrt(k / lines), so lines * u^2 sits
+            // on or within an ulp of the integer k, for the first
+            // 2000 and 2000 random k.
+            for (int i = 0; i < 4000; i++) {
+                const std::uint64_t k = i < 2000
+                    ? static_cast<std::uint64_t>(i) % lines
+                    : rng.below(lines);
+                double u = std::sqrt(static_cast<double>(k) / n);
+                for (int step = 0; step < 2; step++)
+                    u = std::nextafter(u, 0.0);
+                for (int step = 0; step < 5; step++) {
+                    if (u >= 0.0 && u < 1.0) check(u);
+                    u = std::nextafter(u, 1.0);
+                }
+            }
+            check(0.0);
+            check(std::nextafter(1.0, 0.0));
+        }
+    }
+
+    // End to end: the 429.mcf stream against the pow-based draw.
+    const std::vector<WorkingSet> sets =
+        specAppParams("429.mcf").workingSets;
+    AddressStream stream(appAddressBase(3), sets);
+    std::vector<double> cum;
+    double total = 0.0;
+    for (const WorkingSet &ws : sets) cum.push_back(total += ws.weight);
+    Rng fast(29);
+    Rng slow = fast;
+    for (int i = 0; i < 200000; i++) {
+        double pick = slow.uniform() * total;
+        std::size_t idx = 0;
+        LineAddr offset = 0;
+        while (idx + 1 < cum.size() && pick >= cum[idx])
+            offset += sets[idx++].lines;
+        const auto n = static_cast<double>(sets[idx].lines);
+        const double u = slow.uniform();
+        auto pos = static_cast<std::uint64_t>(
+            n * std::pow(u, 1.0 + sets[idx].skew));
+        if (pos >= sets[idx].lines) pos = sets[idx].lines - 1;
+        ASSERT_EQ(stream.draw(fast), appAddressBase(3) + offset + pos);
+    }
+}
 
 // ------------------------------------------------------ AddressStream
 
